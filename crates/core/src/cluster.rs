@@ -3,7 +3,7 @@
 //!
 //! The engine itself lives in [`enoki_sim::cluster`]; this module is the
 //! framework glue around it. A cluster capture gives every machine in
-//! the fleet its **own** record stream — one [`Recorder`] ring and one
+//! the fleet its **own** record stream — one [`Recorder`] and one
 //! lock-id counter per machine — because replay operates on a single
 //! module's coherent call history. A log that interleaved several
 //! machines' records would diverge immediately: lock creation order is
@@ -18,11 +18,11 @@
 //! fleet offline.
 
 use crate::metrics::MetricsSnapshot;
-use crate::record::{self, Rec, Recorder};
+use crate::record::{self, Recorder};
 use enoki_sim::cluster::ClusterSpec;
 use enoki_sim::Ns;
 
-/// Default per-machine record ring capacity (slots; power of two).
+/// Default bound on the records one machine's recorder buffers.
 pub const DEFAULT_CLUSTER_RECORD_SLOTS: usize = 1 << 14;
 
 /// Fluent configuration for a cluster run's framework side: how many
@@ -93,8 +93,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the per-machine record ring capacity in slots; must be a
-    /// power of two ([`Recorder::with_slots_pow2`] validates).
+    /// Sets the bound on records buffered per machine; a capture has no
+    /// writer thread, so this is the most one machine's log can hold.
     pub fn record_slots(mut self, slots: usize) -> ClusterBuilder {
         self.record_slots = slots;
         self
@@ -131,7 +131,7 @@ impl ClusterBuilder {
     /// when done.
     pub fn record(&self) -> ClusterCapture {
         let recorders: Vec<Recorder> = (0..self.machines)
-            .map(|_| Recorder::with_slots_pow2(self.record_slots))
+            .map(|_| Recorder::new(self.record_slots))
             .collect();
         record::enable_record_sharded(recorders.clone());
         ClusterCapture { recorders }
@@ -157,30 +157,19 @@ impl ClusterCapture {
         self.recorders.len()
     }
 
-    /// Records dropped so far across all streams (ring overruns).
+    /// Records dropped so far across all streams (bound overruns).
     pub fn dropped(&self) -> u64 {
         self.recorders.iter().map(Recorder::dropped).sum()
     }
 
-    /// Disarms record mode and drains every stream into its own encoded
+    /// Disarms record mode and takes every stream's bytes as its own
     /// log. Each log is a complete, self-contained record history of one
     /// machine — parseable with [`record::parse_log`] and replayable
     /// exactly like a solo-recorded run.
     pub fn finish(self) -> ClusterLogs {
         record::disable();
-        let mut logs = Vec::with_capacity(self.recorders.len());
-        let mut dropped = 0;
-        let mut recs: Vec<Rec> = Vec::new();
-        for r in &self.recorders {
-            recs.clear();
-            r.drain(&mut recs);
-            let mut bytes = Vec::new();
-            for rec in &recs {
-                rec.encode(&mut bytes);
-            }
-            logs.push(bytes);
-            dropped += r.dropped();
-        }
+        let dropped = self.dropped();
+        let logs = self.recorders.iter().map(Recorder::take_bytes).collect();
         ClusterLogs { logs, dropped }
     }
 }
@@ -191,7 +180,7 @@ pub struct ClusterLogs {
     /// One encoded record log per machine, in machine order. Byte-equal
     /// across runs of the same seeded fleet at any host thread count.
     pub logs: Vec<Vec<u8>>,
-    /// Total records lost to ring overruns (0 in a sound capture).
+    /// Total records lost to bound overruns (0 in a sound capture).
     pub dropped: u64,
 }
 
@@ -211,6 +200,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Rec;
 
     #[test]
     fn builder_clamps_and_partitions_machines() {

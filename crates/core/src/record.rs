@@ -2,21 +2,24 @@
 //!
 //! In record mode, libEnoki records every call and hint sent to the
 //! scheduler plus the order of lock acquisitions, so the exact same
-//! scheduler code can later be replayed at userspace. Records are pushed
-//! into a shared ring buffer drained by a separate "userspace" writer
-//! thread, because scheduler context cannot block on file I/O; if the ring
-//! overruns, events are dropped (and counted).
+//! scheduler code can later be replayed at userspace. Scheduler context
+//! cannot block on file I/O, so [`Recorder::emit`] only encodes the
+//! record into a byte block under the producer lock; full blocks go to a
+//! separate "userspace" writer thread that writes them to the log as
+//! they are. If the writer falls a bound of records behind, events are
+//! dropped (and counted); memory follows the backlog, not the bound.
 //!
 //! The log format is a hand-rolled length-free fixed-layout little-endian
 //! binary codec (one tag byte + fixed fields per record).
 
-use crate::queue::RingBuffer;
+use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Identifies which scheduler entry point a [`Rec::Call`] belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -401,48 +404,43 @@ const TAG_SWITCH: u8 = 0xC7;
 const TAG_DECISION: u8 = 0xC8;
 const TAG_EPOCH_MARK: u8 = 0xC9;
 
+/// Encoded size of [`Rec::Call`], the largest record: tag + tid + func +
+/// 4×u64 + 5×u32/i32 + 2×u64 affinity. The recorder hands a block off
+/// while it still has room for one of these.
+const CALL_BYTES: usize = 1 + 4 + 1 + 8 * 4 + 4 * 5 + 8 * 2;
+
+/// Appends one record with a single `extend_from_slice`: the fields'
+/// little-endian bytes fill an `$n`-byte stack array back to back, at
+/// offsets that are constants once expanded, where an append per field
+/// would pay a capacity check each.
+macro_rules! put {
+    ($out:expr, $n:expr; $($field:expr),+) => {{
+        let mut buf = [0u8; $n];
+        let mut at = 0;
+        $(
+            let field = $field.to_le_bytes();
+            buf[at..at + field.len()].copy_from_slice(&field);
+            at += field.len();
+        )+
+        debug_assert_eq!(at, $n);
+        $out.extend_from_slice(&buf);
+    }};
+}
+
 impl Rec {
     /// Appends the binary encoding of this record to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match *self {
-            Rec::LockCreate { tid, lock } => {
-                out.push(TAG_LOCK_CREATE);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&lock.to_le_bytes());
-            }
+            Rec::LockCreate { tid, lock } => put!(out, 13; TAG_LOCK_CREATE, tid, lock),
             Rec::LockAcquire { tid, lock, op } => {
-                out.push(TAG_LOCK_ACQUIRE);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&lock.to_le_bytes());
-                out.push(op as u8);
+                put!(out, 14; TAG_LOCK_ACQUIRE, tid, lock, op as u8)
             }
-            Rec::LockRelease { tid, lock } => {
-                out.push(TAG_LOCK_RELEASE);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&lock.to_le_bytes());
-            }
-            Rec::Call { tid, func, args } => {
-                out.push(TAG_CALL);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.push(func as u8);
-                out.extend_from_slice(&args.now.to_le_bytes());
-                out.extend_from_slice(&args.pid.to_le_bytes());
-                out.extend_from_slice(&args.runtime.to_le_bytes());
-                out.extend_from_slice(&args.delta.to_le_bytes());
-                out.extend_from_slice(&args.cpu.to_le_bytes());
-                out.extend_from_slice(&args.prev_cpu.to_le_bytes());
-                out.extend_from_slice(&args.weight.to_le_bytes());
-                out.extend_from_slice(&args.nice.to_le_bytes());
-                out.extend_from_slice(&args.flags.to_le_bytes());
-                out.extend_from_slice(&args.aff_lo.to_le_bytes());
-                out.extend_from_slice(&args.aff_hi.to_le_bytes());
-            }
-            Rec::Ret { tid, func, val } => {
-                out.push(TAG_RET);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.push(func as u8);
-                out.extend_from_slice(&val.to_le_bytes());
-            }
+            Rec::LockRelease { tid, lock } => put!(out, 13; TAG_LOCK_RELEASE, tid, lock),
+            Rec::Call { tid, func, args: a } => put!(
+                out, CALL_BYTES; TAG_CALL, tid, func as u8, a.now, a.pid, a.runtime, a.delta,
+                a.cpu, a.prev_cpu, a.weight, a.nice, a.flags, a.aff_lo, a.aff_hi
+            ),
+            Rec::Ret { tid, func, val } => put!(out, 14; TAG_RET, tid, func as u8, val),
             Rec::Hint {
                 tid,
                 pid,
@@ -450,43 +448,21 @@ impl Rec {
                 a,
                 b,
                 c,
-            } => {
-                out.push(TAG_HINT);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&kind.to_le_bytes());
-                out.extend_from_slice(&a.to_le_bytes());
-                out.extend_from_slice(&b.to_le_bytes());
-                out.extend_from_slice(&c.to_le_bytes());
-            }
+            } => put!(out, 41; TAG_HINT, tid, pid, kind, a, b, c),
             Rec::Fault {
                 tid,
                 at,
                 kind,
                 func,
                 arg,
-            } => {
-                out.push(TAG_FAULT);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&at.to_le_bytes());
-                out.push(kind as u8);
-                out.push(func);
-                out.extend_from_slice(&arg.to_le_bytes());
-            }
+            } => put!(out, 23; TAG_FAULT, tid, at, kind as u8, func, arg),
             Rec::Switch {
                 tid,
                 at,
                 epoch,
                 from,
                 to,
-            } => {
-                out.push(TAG_SWITCH);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&at.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&from.to_le_bytes());
-                out.extend_from_slice(&to.to_le_bytes());
-            }
+            } => put!(out, 29; TAG_SWITCH, tid, at, epoch, from, to),
             Rec::Decision {
                 tid,
                 at,
@@ -496,29 +472,16 @@ impl Rec {
                 candidates,
                 reason,
                 predicted,
-            } => {
-                out.push(TAG_DECISION);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&at.to_le_bytes());
-                out.extend_from_slice(&cpu.to_le_bytes());
-                out.extend_from_slice(&policy.to_le_bytes());
-                out.extend_from_slice(&chosen.to_le_bytes());
-                out.extend_from_slice(&candidates.to_le_bytes());
-                out.push(reason as u8);
-                out.extend_from_slice(&predicted.to_le_bytes());
-            }
+            } => put!(
+                out, 42; TAG_DECISION, tid, at, cpu, policy, chosen, candidates, reason as u8,
+                predicted
+            ),
             Rec::EpochMark {
                 tid,
                 stream,
                 epoch,
                 at,
-            } => {
-                out.push(TAG_EPOCH_MARK);
-                out.extend_from_slice(&tid.to_le_bytes());
-                out.extend_from_slice(&stream.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&at.to_le_bytes());
-            }
+            } => put!(out, 25; TAG_EPOCH_MARK, tid, stream, epoch, at),
         }
     }
 
@@ -595,8 +558,7 @@ impl Rec {
                 ))
             }
             TAG_CALL => {
-                // tag + tid + func + 4×u64 + 5×u32/i32 + 2×u64 affinity.
-                let need = 1 + 4 + 1 + 8 * 4 + 4 * 5 + 8 * 2;
+                let need = CALL_BYTES;
                 if buf.len() < need {
                     return Err(DecodeError::Truncated);
                 }
@@ -774,78 +736,132 @@ pub enum DecodeError {
 }
 
 // ---------------------------------------------------------------------
-// Recorder: ring buffer + userspace writer thread
+// Recorder: producer-owned byte blocks + userspace writer thread
 // ---------------------------------------------------------------------
+
+/// Bytes in a block when `emit` hands it to the writer.
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// How long an idle writer waits for a block before it asks for the open
+/// one and looks at its stop flag — the bound on every wait here.
+const WRITER_WAIT: Duration = Duration::from_millis(1);
+
+/// Locks `m`, ignoring poison: every update under these locks leaves the
+/// data valid, and `emit` runs inside shim locks whose holders may panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Whole encoded records on their way from the emitters to the log.
+#[derive(Default)]
+struct Block {
+    bytes: Vec<u8>,
+    records: u64,
+}
+
+#[derive(Default)]
+struct Shared {
+    /// Bound on records buffered (accepted − retired).
+    capacity: u64,
+    /// The block `emit` appends to, and the records accepted so far.
+    producer: Mutex<(Block, u64)>,
+    /// Blocks handed off, oldest first; locked after `producer` when
+    /// both are held.
+    full: Mutex<VecDeque<Block>>,
+    ready: Condvar,
+    /// Records that have left the recorder, to the writer or as bytes.
+    retired: AtomicU64,
+    dropped: AtomicU64,
+}
 
 /// Shared handle used by the framework and lock shims to emit records.
 #[derive(Clone)]
-pub struct Recorder {
-    ring: RingBuffer<Rec>,
-}
+pub struct Recorder(Arc<Shared>);
 
 impl Recorder {
-    /// Creates a recorder with the given ring capacity.
+    /// Creates a recorder that buffers at most `capacity` records.
     pub fn new(capacity: usize) -> Recorder {
-        Recorder {
-            ring: RingBuffer::with_capacity(capacity),
-        }
+        Recorder(Arc::new(Shared {
+            capacity: capacity as u64,
+            ..Shared::default()
+        }))
     }
 
-    /// Emits one record (drops it if the ring is full).
-    ///
-    /// The ring itself counts rejected pushes, so the drop total has a
-    /// single source of truth — see [`Recorder::dropped`].
+    /// Emits one record, from any thread: encodes it onto the open block,
+    /// or drops and counts it when `capacity` records are buffered.
     pub fn emit(&self, rec: Rec) {
-        let _ = self.ring.push(rec);
-    }
-
-    /// Creates a recorder whose ring capacity must be a power of two —
-    /// the sizing contract for bulk allocations (one recorder per
-    /// machine in a cluster capture), via
-    /// [`RingBuffer::with_capacity_pow2`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or not a power of two.
-    pub fn with_slots_pow2(capacity: usize) -> Recorder {
-        Recorder {
-            ring: RingBuffer::with_capacity_pow2(capacity),
+        let sh = &*self.0;
+        let mut p = lock(&sh.producer);
+        let (open, accepted) = &mut *p;
+        // Relaxed: the count publishes nothing, and a stale one only
+        // under-reports the room.
+        if *accepted - sh.retired.load(Ordering::Relaxed) >= sh.capacity {
+            sh.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        rec.encode(&mut open.bytes);
+        open.records += 1;
+        *accepted += 1;
+        // A block goes when it has no room for another largest record, or
+        // holds half of `capacity`: a recorder far smaller than a block
+        // still wakes its writer.
+        if open.bytes.len() > BLOCK_BYTES - CALL_BYTES || open.records >= sh.capacity.div_ceil(2) {
+            self.hand_off(open);
         }
     }
 
-    /// Records dropped due to ring overrun.
+    /// Moves the open block, if it holds anything, to the end of `full`.
+    fn hand_off(&self, open: &mut Block) {
+        if open.records > 0 {
+            let fresh = Block {
+                bytes: Vec::with_capacity(BLOCK_BYTES),
+                records: 0,
+            };
+            lock(&self.0.full).push_back(std::mem::replace(open, fresh));
+            self.0.ready.notify_one();
+        }
+    }
+
+    /// Records dropped because `capacity` records were already buffered.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.0.dropped.load(Ordering::Relaxed)
     }
 
-    /// Drains every buffered record into `out` (FIFO order); returns the
-    /// count. Cluster captures use this instead of a [`RecordWriter`]
-    /// thread per machine: the capture ends, then each recorder is
-    /// drained and encoded synchronously.
-    pub fn drain(&self, out: &mut Vec<Rec>) -> usize {
-        let mut n = 0;
-        loop {
-            let got = self.ring.drain(out);
-            if got == 0 {
-                return n;
-            }
-            n += got;
+    /// Takes the oldest buffered block out, waiting up to [`WRITER_WAIT`]
+    /// for a handed-off one if `wait`. Only when there is none does it
+    /// take the producer lock, to have the open block handed off.
+    fn next_block(&self, wait: bool) -> Option<Block> {
+        let sh = &*self.0;
+        let mut full = lock(&sh.full);
+        if full.is_empty() && wait {
+            let timed = sh.ready.wait_timeout(full, WRITER_WAIT);
+            full = timed.unwrap_or_else(PoisonError::into_inner).0;
         }
+        if full.is_empty() {
+            drop(full);
+            self.hand_off(&mut lock(&sh.producer).0);
+            full = lock(&sh.full);
+        }
+        let block = full.pop_front()?;
+        sh.retired.fetch_add(block.records, Ordering::Relaxed);
+        Some(block)
+    }
+
+    /// Takes every buffered record out, encoded, in emission order.
+    /// Cluster captures use this instead of a [`RecordWriter`] thread per
+    /// machine: the capture ends, then each recorder's bytes are that
+    /// machine's log.
+    pub fn take_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        while let Some(block) = self.next_block(false) {
+            out.extend_from_slice(&block.bytes);
+        }
+        out
     }
 }
 
-/// Empty drain rounds the writer spends yielding before it starts
-/// sleeping (see the backoff loop in [`RecordWriter::spawn`]).
-const IDLE_SPIN_ROUNDS: u32 = 16;
-
-/// Records the writer pulls off the ring per batched pop. Each batch costs
-/// one read-index publication instead of one per record, and the whole
-/// batch encodes into a single contiguous buffer before touching the
-/// `BufWriter`.
-const WRITER_BATCH: usize = 256;
-
-/// The "userspace record task": a real thread that drains the recorder's
-/// ring and writes the log file asynchronously.
+/// The "userspace record task": a real thread that takes the recorder's
+/// blocks and writes them to the log file as they are.
 pub struct RecordWriter {
     handle: Option<JoinHandle<std::io::Result<u64>>>,
     stop: Arc<AtomicBool>,
@@ -853,58 +869,36 @@ pub struct RecordWriter {
 
 impl RecordWriter {
     /// Spawns the writer thread draining `recorder` into `path`.
+    ///
+    /// The log starts on a fresh inode: truncating the last session's
+    /// file in place makes ext4 flush the whole new log when it is closed
+    /// (`auto_da_alloc`), and the next session's open waits for that.
     pub fn spawn(recorder: &Recorder, path: &Path) -> std::io::Result<RecordWriter> {
-        let file = File::create(path)?;
-        let ring = recorder.ring.clone();
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let mut file = File::create_new(path)?;
+        let recorder = recorder.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let handle = std::thread::Builder::new()
             .name("enoki-record".into())
             .spawn(move || {
-                let mut w = BufWriter::new(file);
-                let mut batch = Vec::with_capacity(WRITER_BATCH);
-                let mut buf = Vec::with_capacity(64 * WRITER_BATCH);
                 let mut written = 0u64;
-                // Consecutive empty drain rounds; drives the idle backoff.
-                let mut idle_rounds = 0u32;
                 loop {
-                    let mut idle = true;
-                    loop {
-                        batch.clear();
-                        let n = ring.pop_batch(&mut batch, WRITER_BATCH);
-                        if n == 0 {
-                            break;
+                    // Read first: what was emitted before `finish` is
+                    // then found by this round's look.
+                    let stopping = stop2.load(Ordering::Acquire);
+                    match recorder.next_block(!stopping) {
+                        Some(block) => {
+                            file.write_all(&block.bytes)?;
+                            written += block.records;
                         }
-                        idle = false;
-                        buf.clear();
-                        for rec in &batch {
-                            rec.encode(&mut buf);
-                        }
-                        w.write_all(&buf)?;
-                        written += n as u64;
-                    }
-                    if idle {
-                        if stop2.load(Ordering::Acquire) && ring.is_empty() {
-                            break;
-                        }
-                        // Bounded backoff instead of a busy spin: yield for
-                        // the first rounds (low latency while the scheduler
-                        // is active), then sleep with exponential backoff
-                        // capped at ~1 ms so an idle recorder doesn't burn
-                        // a core and shutdown latency stays negligible.
-                        idle_rounds += 1;
-                        if idle_rounds <= IDLE_SPIN_ROUNDS {
-                            std::thread::yield_now();
-                        } else {
-                            let exp = (idle_rounds - IDLE_SPIN_ROUNDS).min(5);
-                            std::thread::sleep(std::time::Duration::from_micros(32u64 << exp));
-                        }
-                    } else {
-                        idle_rounds = 0;
+                        None if stopping => return Ok(written),
+                        None => {}
                     }
                 }
-                w.flush()?;
-                Ok(written)
             })?;
         Ok(RecordWriter {
             handle: Some(handle),
@@ -912,7 +906,8 @@ impl RecordWriter {
         })
     }
 
-    /// Stops the writer after the ring drains; returns records written.
+    /// Stops the writer once everything buffered is in the file; returns
+    /// records written.
     pub fn finish(mut self) -> std::io::Result<u64> {
         self.stop.store(true, Ordering::Release);
         self.handle
@@ -1125,8 +1120,8 @@ pub fn enable_record(recorder: Recorder) {
 /// Threads route records by binding to a stream with
 /// [`set_record_stream`]; records emitted by unbound threads are
 /// discarded (a cluster capture has no coherent place to put them).
-/// Callers keep clones of the recorders (they share rings) and drain
-/// them after [`disable`].
+/// Callers keep clones of the recorders (they share buffers) and take
+/// their bytes after [`disable`].
 pub fn enable_record_sharded(recorders: Vec<Recorder>) {
     let lock_ids = (0..recorders.len()).map(|_| AtomicU64::new(1)).collect();
     *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) =
@@ -1403,6 +1398,138 @@ mod tests {
         });
     }
 
+    /// The wire layout, byte for byte: one literal per variant, written
+    /// as hex with a space between fields. A layout slip fails here, not
+    /// in a `dump_fnv` / `graph_hash` pin three crates away.
+    #[test]
+    fn golden_bytes_pin_every_variant() {
+        fn hex(s: &str) -> Vec<u8> {
+            let digits: Vec<u8> = s.bytes().filter(|b| *b != b' ').collect();
+            digits
+                .chunks(2)
+                .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+                .collect()
+        }
+        let tid = 0x0102_0304;
+        let (w, x, y) = (
+            0x1112_1314_1516_1718,
+            0x2122_2324_2526_2728,
+            0x3132_3334_3536_3738,
+        );
+        let golden = [
+            (
+                Rec::LockCreate { tid, lock: w },
+                "c0 04030201 1817161514131211",
+            ),
+            (
+                Rec::LockAcquire {
+                    tid,
+                    lock: w,
+                    op: LockOp::Write,
+                },
+                "c1 04030201 1817161514131211 02",
+            ),
+            (
+                Rec::LockRelease { tid, lock: w },
+                "c2 04030201 1817161514131211",
+            ),
+            (
+                Rec::Call {
+                    tid,
+                    func: FuncId::PickNextTask,
+                    args: CallArgs {
+                        now: x,
+                        pid: -2,
+                        runtime: y,
+                        delta: 0x4142_4344_4546_4748,
+                        cpu: 0x5152_5354,
+                        prev_cpu: -1,
+                        weight: 0x6162_6364,
+                        nice: -20,
+                        flags: 3,
+                        aff_lo: 0x7172_7374_7576_7778,
+                        aff_hi: 0x8182_8384_8586_8788,
+                    },
+                },
+                "c3 04030201 0b 2827262524232221 feffffffffffffff 3837363534333231 \
+                 4847464544434241 54535251 ffffffff 64636261 ecffffff 03000000 \
+                 7877767574737271 8887868584838281",
+            ),
+            (
+                Rec::Ret {
+                    tid,
+                    func: FuncId::Balance,
+                    val: -1,
+                },
+                "c4 04030201 0a ffffffffffffffff",
+            ),
+            (
+                Rec::Hint {
+                    tid,
+                    pid: w as i64,
+                    kind: 0x2122_2324,
+                    a: -5,
+                    b: 6,
+                    c: y as i64,
+                },
+                "c5 04030201 1817161514131211 24232221 fbffffffffffffff \
+                 0600000000000000 3837363534333231",
+            ),
+            (
+                Rec::Fault {
+                    tid,
+                    at: w,
+                    kind: FaultTag::CaughtPanic,
+                    func: FuncId::PickNextTask as u8,
+                    arg: -7,
+                },
+                "c6 04030201 1817161514131211 06 0b f9ffffffffffffff",
+            ),
+            (
+                Rec::Switch {
+                    tid,
+                    at: w,
+                    epoch: x,
+                    from: 10,
+                    to: -30,
+                },
+                "c7 04030201 1817161514131211 2827262524232221 0a000000 e2ffffff",
+            ),
+            (
+                Rec::Decision {
+                    tid,
+                    at: w,
+                    cpu: 3,
+                    policy: 90,
+                    chosen: x as i64,
+                    candidates: 5,
+                    reason: DecisionReason::ShortestPredictedBurst,
+                    predicted: y,
+                },
+                "c8 04030201 1817161514131211 03000000 5a000000 2827262524232221 \
+                 05000000 05 3837363534333231",
+            ),
+            (
+                Rec::EpochMark {
+                    tid,
+                    stream: 42,
+                    epoch: w,
+                    at: x,
+                },
+                "c9 04030201 2a000000 1817161514131211 2827262524232221",
+            ),
+        ];
+        for (rec, want) in golden {
+            let mut got = Vec::new();
+            rec.encode(&mut got);
+            assert_eq!(got, hex(want), "layout of {rec:?}");
+            assert!(
+                got.len() <= CALL_BYTES,
+                "{rec:?} outgrows a block's headroom"
+            );
+        }
+    }
+
     #[test]
     fn decision_decode_rejects_bad_reason() {
         let mut buf = Vec::new();
@@ -1469,10 +1596,16 @@ mod tests {
         assert!(Rec::decode(&buf[..buf.len() - 1]).is_none());
     }
 
+    /// A fresh directory for one test's log file.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("enoki-rec-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn recorder_writer_round_trip() {
-        let dir = std::env::temp_dir().join(format!("enoki-rec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("round-trip");
         let path = dir.join("log.bin");
         let rec = Recorder::new(1024);
         let writer = RecordWriter::spawn(&rec, &path).unwrap();
@@ -1496,9 +1629,8 @@ mod tests {
 
     #[test]
     fn overrun_drops_and_counts_exactly_once() {
-        // 10 emits into a 2-slot ring with no consumer: exactly 8 drops.
-        // The recorder must not double-count (its own counter plus the
-        // ring's) — the ring is the single source of truth.
+        // 10 emits into a 2-record recorder with no consumer: exactly 8
+        // drops, each counted once.
         let rec = Recorder::new(2);
         for i in 0..10 {
             rec.emit(Rec::LockRelease { tid: 0, lock: i });
@@ -1508,10 +1640,9 @@ mod tests {
 
     #[test]
     fn idle_writer_wakes_up_for_late_records() {
-        // The writer backs off while idle; records emitted after the idle
-        // period must still be drained and written.
-        let dir = std::env::temp_dir().join(format!("enoki-rec-idle-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // An idle writer waits on the hand-off; records emitted after the
+        // idle period, too few to fill a block, must still be written.
+        let dir = scratch_dir("idle");
         let path = dir.join("idle.bin");
         let rec = Recorder::new(64);
         let writer = RecordWriter::spawn(&rec, &path).unwrap();
@@ -1685,30 +1816,138 @@ mod tests {
     }
 
     #[test]
-    fn recorder_pow2_drains_in_order() {
-        let rec = Recorder::with_slots_pow2(8);
-        for i in 0..8 {
+    fn take_bytes_drains_in_order() {
+        // Enough records to span several blocks plus a partial one.
+        let n = 3 * BLOCK_BYTES as u64 / 13;
+        let rec = Recorder::new(1 << 20);
+        for i in 0..n {
             rec.emit(Rec::LockRelease { tid: 0, lock: i });
         }
-        let mut out = Vec::new();
-        assert_eq!(rec.drain(&mut out), 8);
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r, Rec::LockRelease { tid: 0, lock: i as u64 });
+        let parsed = parse_log(&rec.take_bytes()[..]).unwrap();
+        assert!(!parsed.truncated);
+        assert_eq!(parsed.records.len() as u64, n);
+        for (lock, r) in (0..n).zip(&parsed.records) {
+            assert_eq!(*r, Rec::LockRelease { tid: 0, lock });
         }
-        assert_eq!(rec.drain(&mut out), 0);
+        assert!(rec.take_bytes().is_empty());
+        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn recorder_pow2_rejects_non_power_of_two() {
-        let _ = Recorder::with_slots_pow2(100);
+    fn emit_is_sound_from_many_threads() {
+        const THREADS: u32 = 4;
+        const PER_THREAD: i64 = 50_000;
+        let dir = scratch_dir("threads");
+        let path = dir.join("log.bin");
+        let rec = Recorder::new(1 << 14);
+        let writer = RecordWriter::spawn(&rec, &path).unwrap();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for tid in 0..THREADS {
+                let (rec, start) = (&rec, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for val in 0..PER_THREAD {
+                        rec.emit(Rec::Ret {
+                            tid,
+                            func: FuncId::Balance,
+                            val,
+                        });
+                    }
+                });
+            }
+        });
+        let written = writer.finish().unwrap();
+        assert_eq!(written + rec.dropped(), THREADS as u64 * PER_THREAD as u64);
+        let parsed = parse_log(File::open(&path).unwrap()).unwrap();
+        assert!(!parsed.truncated);
+        assert_eq!(parsed.records.len() as u64, written);
+        // Each thread's records are in its own emission order.
+        let mut next = [0i64; THREADS as usize];
+        for r in &parsed.records {
+            let Rec::Ret { tid, val, .. } = *r else {
+                panic!("foreign record {r:?}");
+            };
+            assert!(val >= next[tid as usize], "thread {tid} reordered at {val}");
+            next[tid as usize] = val + 1;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tiny_recorder_loses_nothing_it_did_not_count() {
+        let dir = scratch_dir("tiny");
+        let path = dir.join("log.bin");
+        let rec = Recorder::new(4);
+        let writer = RecordWriter::spawn(&rec, &path).unwrap();
+        for i in 0..1_000 {
+            rec.emit(Rec::LockRelease { tid: 0, lock: i });
+            std::thread::yield_now();
+        }
+        let written = writer.finish().unwrap();
+        assert_eq!(written + rec.dropped(), 1_000);
+        assert!(written >= 4, "only {written} written");
+        let parsed = parse_log(File::open(&path).unwrap()).unwrap();
+        assert_eq!(parsed.records.len() as u64, written);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writer_terminates_with_nothing_emitted_and_mid_block() {
+        let dir = scratch_dir("edges");
+        let t0 = std::time::Instant::now();
+        // Nothing ever emitted.
+        let rec = Recorder::new(64);
+        let writer = RecordWriter::spawn(&rec, &dir.join("empty.bin")).unwrap();
+        assert_eq!(writer.finish().unwrap(), 0);
+        drop(RecordWriter::spawn(&rec, &dir.join("empty.bin")).unwrap());
+        // Dropped while the producer is mid-block: the partial block is
+        // still written.
+        let path = dir.join("partial.bin");
+        let writer = RecordWriter::spawn(&rec, &path).unwrap();
+        for i in 0..10 {
+            rec.emit(Rec::LockCreate { tid: 1, lock: i });
+        }
+        drop(writer);
+        assert_eq!(parse_log(File::open(&path).unwrap()).unwrap().len(), 10);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "a writer wait is unbounded"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn log_cut_mid_block_loads_truncated() {
+        let dir = scratch_dir("cut");
+        let path = dir.join("log.bin");
+        let rec = Recorder::new(1 << 20);
+        let writer = RecordWriter::spawn(&rec, &path).unwrap();
+        // 14 bytes each: well into the second block.
+        let n = BLOCK_BYTES as i64 / 14 + 2_000;
+        for val in 0..n {
+            rec.emit(Rec::Ret {
+                tid: 0,
+                func: FuncId::Balance,
+                val,
+            });
+        }
+        assert_eq!(writer.finish().unwrap(), n as u64);
+        // The writer died inside the second block, inside a record.
+        let keep = BLOCK_BYTES as u64 / 14 + 1_000;
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(keep * 14 + 5).unwrap();
+        let parsed = parse_log(File::open(&path).unwrap()).unwrap();
+        assert!(parsed.truncated);
+        assert_eq!(parsed.records.len() as u64, keep);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_mode_routes_by_stream_and_numbers_locks_per_stream() {
         // Mutates process-global record state; self-contained, restores
         // Off at the end (same discipline as the sync.rs record tests).
-        let recs: Vec<Recorder> = (0..2).map(|_| Recorder::with_slots_pow2(64)).collect();
+        let recs: Vec<Recorder> = (0..2).map(|_| Recorder::new(2)).collect();
         enable_record_sharded(recs.clone());
         // Unbound threads drop records instead of polluting a stream.
         assert_eq!(current_record_stream(), None);
@@ -1725,15 +1964,24 @@ mod tests {
             });
             assert_eq!(next_lock_id(), 2);
         }
+        assert_eq!(recorder_dropped(), Some(0));
+        // Health's `record_drops` feed is the sum over streams: stream 1
+        // overruns its bound of 2 by one record, then stream 0 by two.
+        for (idx, emits) in [(1u32, 2u64), (0, 3)] {
+            set_record_stream(idx);
+            for lock in 0..emits {
+                emit(Rec::LockRelease { tid: idx, lock });
+            }
+        }
+        assert_eq!(recorder_dropped(), Some(3));
         clear_record_stream();
         assert_eq!(current_record_stream(), None);
-        assert_eq!(recorder_dropped(), Some(0));
         disable();
         for (idx, rec) in recs.iter().enumerate() {
-            let mut out = Vec::new();
-            assert_eq!(rec.drain(&mut out), 1, "stream {idx} got exactly its record");
+            let parsed = parse_log(&rec.take_bytes()[..]).unwrap();
+            assert_eq!(parsed.len(), 2, "stream {idx} kept what its bound allows");
             assert_eq!(
-                out[0],
+                parsed[0],
                 Rec::LockCreate {
                     tid: idx as u32,
                     lock: 1

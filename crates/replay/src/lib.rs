@@ -10,8 +10,8 @@
 //!
 //! 1. Build the scheduler in record mode: [`start_recording`] arms the
 //!    global recorder and spawns the userspace writer thread.
-//! 2. Run the workload; every call, hint, and lock acquisition streams
-//!    through a ring buffer to the log file.
+//! 2. Run the workload; every call, hint, and lock acquisition is encoded
+//!    where it is emitted and streams to the log file in byte blocks.
 //! 3. [`stop_recording`] drains and closes the log.
 //! 4. [`replay_file`] re-runs the same scheduler code in userspace,
 //!    enforcing the recorded lock order and validating every response.
@@ -34,15 +34,19 @@ pub struct RecordingSession {
 ///
 /// Call [`record::reset_lock_ids`] *before constructing the scheduler*
 /// (both here and before replay) so lock identities line up.
-pub fn start_recording(path: &Path, ring_capacity: usize) -> std::io::Result<RecordingSession> {
-    let recorder = Recorder::new(ring_capacity);
+///
+/// `capacity` bounds the records buffered between the emitters and the
+/// writer thread; past it records are dropped and counted
+/// ([`RecordingSession::dropped`]).
+pub fn start_recording(path: &Path, capacity: usize) -> std::io::Result<RecordingSession> {
+    let recorder = Recorder::new(capacity);
     let writer = RecordWriter::spawn(&recorder, path)?;
     record::enable_record(recorder.clone());
     Ok(RecordingSession { writer, recorder })
 }
 
 impl RecordingSession {
-    /// Records dropped due to ring overrun so far.
+    /// Records dropped so far because the writer fell `capacity` behind.
     pub fn dropped(&self) -> u64 {
         self.recorder.dropped()
     }

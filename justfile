@@ -3,7 +3,7 @@
 default: ci
 
 # Everything CI runs, in CI's order.
-ci: build test lint
+ci: build test bench-smoke lint
 
 build:
     cargo build --release
@@ -29,6 +29,14 @@ bench-gate:
     ENOKI_BENCH_FAST=1 cargo bench -p enoki-bench --bench framework
     ENOKI_BENCH_FAST=1 cargo run --release -p enoki-bench --bin cluster_bench
     cargo run --release -p enoki-bench --bin bench_gate
+
+# The repo benchmark at ~1 % sizes with every check on (a few seconds).
+# It is a package of its own that compiles against the library's public
+# surface, so this is where an API break or a failed check (a dropped
+# record, an unfaithful replay, a digest mismatch) shows in tier-1
+# tooling: the run exits non-zero on any failed operation.
+bench-smoke:
+    benchmark/run.sh --quick
 
 # Native userspace backend: the same unmodified policy structs scheduling
 # real OS threads through the same dispatch layer (tests/native.rs), plus

@@ -63,6 +63,7 @@
 //! (defaults: `crates/bench/results/BENCH_framework.json`, falling back to
 //! `results/BENCH_framework.json`, vs `crates/bench/baselines/BENCH_framework.json`)
 
+use enoki_core::json::{self, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -95,229 +96,6 @@ const CLUSTER_SPEEDUP_FLOOR: f64 = 2.5;
 const CLUSTER_MIN_HOST_CORES: f64 = 4.0;
 
 // ----------------------------------------------------------------------
-// Minimal JSON reader (the workspace builds offline; no serde)
-// ----------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(s: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            pos: 0,
-        };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.pos != p.b.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.b.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(c) => Err(format!("unexpected byte {c:#x} at {}", self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.b.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.b.get(self.pos), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.b.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(&c) if c >= 0x20 => {
-                    // Multi-byte UTF-8 passes through byte by byte; the
-                    // input is a &str so the bytes are valid UTF-8.
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .b
-                        .get(self.pos..self.pos + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos += len;
-                }
-                _ => return Err(format!("bad string at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.pos += 1; // [
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.pos += 1; // {
-        let mut pairs = Vec::new();
-        self.ws();
-        if self.b.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.ws();
-            if self.b.get(self.pos) != Some(&b'"') {
-                return Err(format!("expected key at byte {}", self.pos));
-            }
-            let key = self.string()?;
-            self.ws();
-            if self.b.get(self.pos) != Some(&b':') {
-                return Err(format!("expected ':' at byte {}", self.pos));
-            }
-            self.pos += 1;
-            self.ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.ws();
-            match self.b.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
 // Schema + gate
 // ----------------------------------------------------------------------
 
@@ -338,45 +116,51 @@ fn key_label(k: &RowKey) -> String {
     }
 }
 
+/// Reads and parses one `BENCH_*.json`, checking it came from `harness`.
+fn load_doc(path: &str, harness: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    match doc.get("harness").and_then(Value::as_str) {
+        Some(h) if h == harness => Ok(doc),
+        Some(h) => Err(format!("{path}: harness is {h:?}, not {harness:?}")),
+        None => Err(format!("{path}: missing \"harness\"")),
+    }
+}
+
+/// The report's `rows` array.
+fn rows_of<'a>(doc: &'a Value, path: &str) -> Result<&'a [Value], String> {
+    doc.get("rows")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{path}: missing \"rows\" array"))
+}
+
 /// Parses and schema-checks one results file: the harness must be
 /// `framework`, and every throughput row must carry a string `bench`, a
 /// string `impl`, and a finite positive `ops_per_sec`.
 fn load(path: &str) -> Result<BTreeMap<RowKey, Row>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Parser::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let harness = doc
-        .get("harness")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{path}: missing \"harness\""))?;
-    if harness != "framework" {
-        return Err(format!("{path}: harness is {harness:?}, not \"framework\""));
-    }
+    let doc = load_doc(path, "framework")?;
     doc.get("params")
         .ok_or_else(|| format!("{path}: missing \"params\""))?;
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: missing \"rows\" array"))?;
+    let rows = rows_of(&doc, path)?;
     let mut out = BTreeMap::new();
     for (i, row) in rows.iter().enumerate() {
         let bench = row
             .get("bench")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: row {i} has no \"bench\""))?;
         let impl_name = row
             .get("impl")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: row {i} has no \"impl\""))?;
         let ops = row
             .get("ops_per_sec")
-            .and_then(Json::as_num)
+            .and_then(Value::as_num)
             .ok_or_else(|| format!("{path}: row {i} has no numeric \"ops_per_sec\""))?;
         if !ops.is_finite() || ops <= 0.0 {
             return Err(format!("{path}: row {i} ops_per_sec {ops} is not a positive number"));
         }
-        let batch = row.get("batch").and_then(Json::as_num).unwrap_or(1.0) as u64;
-        let speedup = row.get("speedup_vs_ref").and_then(Json::as_num);
+        let batch = row.get("batch").and_then(Value::as_num).unwrap_or(1.0) as u64;
+        let speedup = row.get("speedup_vs_ref").and_then(Value::as_num);
         if let Some(s) = speedup {
             if !s.is_finite() || s <= 0.0 {
                 return Err(format!("{path}: row {i} speedup_vs_ref {s} is not a positive number"));
@@ -413,34 +197,21 @@ struct OverheadRow {
 /// Parses and schema-checks the overhead report: every row must carry a
 /// string `impl`, a string `baseline`, and a finite `overhead_pct`.
 fn load_overheads(path: &str) -> Result<Vec<OverheadRow>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Parser::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let harness = doc
-        .get("harness")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{path}: missing \"harness\""))?;
-    if harness != "framework_overhead" {
-        return Err(format!(
-            "{path}: harness is {harness:?}, not \"framework_overhead\""
-        ));
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: missing \"rows\" array"))?;
+    let doc = load_doc(path, "framework_overhead")?;
+    let rows = rows_of(&doc, path)?;
     let mut out = Vec::new();
     for (i, row) in rows.iter().enumerate() {
         let impl_name = row
             .get("impl")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: row {i} has no \"impl\""))?;
         let baseline = row
             .get("baseline")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: row {i} has no \"baseline\""))?;
         let pct = row
             .get("overhead_pct")
-            .and_then(Json::as_num)
+            .and_then(Value::as_num)
             .ok_or_else(|| format!("{path}: row {i} has no numeric \"overhead_pct\""))?;
         if !pct.is_finite() {
             return Err(format!("{path}: row {i} overhead_pct is not finite"));
@@ -481,48 +252,37 @@ struct MetaReport {
 /// `decision_mean_ns`, and every row must carry integer `epoch`,
 /// `at_ns`, `from`, `to` and a finite non-negative `blackout_ns`.
 fn load_meta(path: &str) -> Result<MetaReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Parser::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let harness = doc
-        .get("harness")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{path}: missing \"harness\""))?;
-    if harness != "meta" {
-        return Err(format!("{path}: harness is {harness:?}, not \"meta\""));
-    }
+    let doc = load_doc(path, "meta")?;
     let params = doc
         .get("params")
         .ok_or_else(|| format!("{path}: missing \"params\""))?;
     let final_policy = params
         .get("final_policy")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or_else(|| format!("{path}: params missing \"final_policy\""))?
         .to_string();
     let decision_mean_ns = params
         .get("decision_mean_ns")
-        .and_then(Json::as_num)
+        .and_then(Value::as_num)
         .ok_or_else(|| format!("{path}: params missing numeric \"decision_mean_ns\""))?;
     if !decision_mean_ns.is_finite() || decision_mean_ns <= 0.0 {
         return Err(format!(
             "{path}: decision_mean_ns {decision_mean_ns} is not a positive number"
         ));
     }
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: missing \"rows\" array"))?;
+    let rows = rows_of(&doc, path)?;
     let mut switches = Vec::new();
     let mut blackouts_ns = Vec::new();
     for (i, row) in rows.iter().enumerate() {
         let int = |key: &str| -> Result<i64, String> {
             row.get(key)
-                .and_then(Json::as_num)
+                .and_then(Value::as_num)
                 .map(|n| n as i64)
                 .ok_or_else(|| format!("{path}: row {i} has no numeric \"{key}\""))
         };
         let blackout = row
             .get("blackout_ns")
-            .and_then(Json::as_num)
+            .and_then(Value::as_num)
             .ok_or_else(|| format!("{path}: row {i} has no numeric \"blackout_ns\""))?;
         if !blackout.is_finite() || blackout < 0.0 {
             return Err(format!("{path}: row {i} blackout_ns {blackout} is invalid"));
@@ -562,28 +322,17 @@ enum TraceVal {
 /// `expect`, and every row must carry a string `metric` plus either a
 /// numeric `value` or a string `hex`.
 fn load_kv(path: &str, expect: &str) -> Result<BTreeMap<String, TraceVal>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Parser::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let harness = doc
-        .get("harness")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{path}: missing \"harness\""))?;
-    if harness != expect {
-        return Err(format!("{path}: harness is {harness:?}, not {expect:?}"));
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: missing \"rows\" array"))?;
+    let doc = load_doc(path, expect)?;
+    let rows = rows_of(&doc, path)?;
     let mut out = BTreeMap::new();
     for (i, row) in rows.iter().enumerate() {
         let metric = row
             .get("metric")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: row {i} has no \"metric\""))?;
-        let val = if let Some(n) = row.get("value").and_then(Json::as_num) {
+        let val = if let Some(n) = row.get("value").and_then(Value::as_num) {
             TraceVal::Num(n as i64)
-        } else if let Some(h) = row.get("hex").and_then(Json::as_str) {
+        } else if let Some(h) = row.get("hex").and_then(Value::as_str) {
             TraceVal::Hex(h.to_string())
         } else {
             return Err(format!("{path}: row {i} has neither \"value\" nor \"hex\""));
@@ -670,35 +419,23 @@ fn gate_cluster(current_path: &str, failures: &mut Vec<String>) -> Result<usize,
         "fast",
     ];
 
-    let load_doc = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let doc = Parser::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        match doc.get("harness").and_then(Json::as_str) {
-            Some("cluster") => Ok(doc),
-            Some(h) => Err(format!("{path}: harness is {h:?}, not \"cluster\"")),
-            None => Err(format!("{path}: missing \"harness\"")),
-        }
-    };
-    let cur = load_doc(current_path)?;
+    let cur = load_doc(current_path, "cluster")?;
     let params = cur
         .get("params")
         .ok_or_else(|| format!("{current_path}: missing \"params\""))?;
     let seq_digest = params
         .get("seq_digest")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or_else(|| format!("{current_path}: params missing \"seq_digest\""))?;
     let host_cores = params
         .get("host_cores")
-        .and_then(Json::as_num)
+        .and_then(Value::as_num)
         .ok_or_else(|| format!("{current_path}: params missing numeric \"host_cores\""))?;
     let speedup = params
         .get("speedup_4v1")
-        .and_then(Json::as_num)
+        .and_then(Value::as_num)
         .ok_or_else(|| format!("{current_path}: params missing numeric \"speedup_4v1\""))?;
-    let rows = cur
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{current_path}: missing \"rows\" array"))?;
+    let rows = rows_of(&cur, current_path)?;
     if rows.is_empty() {
         return Err(format!("{current_path}: no thread-count rows"));
     }
@@ -707,11 +444,11 @@ fn gate_cluster(current_path: &str, failures: &mut Vec<String>) -> Result<usize,
     for (i, row) in rows.iter().enumerate() {
         let threads = row
             .get("threads")
-            .and_then(Json::as_num)
+            .and_then(Value::as_num)
             .ok_or_else(|| format!("{current_path}: row {i} has no numeric \"threads\""))?;
         let eps = row
             .get("events_per_sec")
-            .and_then(Json::as_num)
+            .and_then(Value::as_num)
             .ok_or_else(|| format!("{current_path}: row {i} has no numeric \"events_per_sec\""))?;
         if !eps.is_finite() || eps <= 0.0 {
             return Err(format!(
@@ -720,7 +457,7 @@ fn gate_cluster(current_path: &str, failures: &mut Vec<String>) -> Result<usize,
         }
         let digest = row
             .get("digest")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("{current_path}: row {i} has no \"digest\""))?;
         println!("  cluster {threads:>2.0} thread(s) {eps:>23.0} events/s  {digest}");
         if digest != seq_digest {
@@ -734,7 +471,7 @@ fn gate_cluster(current_path: &str, failures: &mut Vec<String>) -> Result<usize,
 
     // Digest pin vs the committed baseline, valid only for the same
     // fleet configuration (fast vs full mode differ by design).
-    match load_doc(baseline_path) {
+    match load_doc(baseline_path, "cluster") {
         Ok(base) => {
             let bparams = base
                 .get("params")
@@ -743,7 +480,7 @@ fn gate_cluster(current_path: &str, failures: &mut Vec<String>) -> Result<usize,
                 .iter()
                 .all(|k| params.get(k) == bparams.get(k));
             if config_matches {
-                match bparams.get("seq_digest").and_then(Json::as_str) {
+                match bparams.get("seq_digest").and_then(Value::as_str) {
                     Some(b) if b == seq_digest => {
                         println!("  cluster digest matches the committed baseline");
                     }

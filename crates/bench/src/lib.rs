@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # enoki-bench — harnesses that regenerate every table and figure
 //!

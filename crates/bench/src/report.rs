@@ -77,29 +77,10 @@ impl From<bool> for Val {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_val(out: &mut String, v: &Val) {
     use std::fmt::Write as _;
     match v {
-        Val::Str(s) => push_json_str(out, s),
+        Val::Str(s) => enoki_core::json::escape_into(out, s),
         Val::Int(i) => {
             let _ = write!(out, "{i}");
         }
@@ -119,7 +100,7 @@ fn push_obj(out: &mut String, fields: &[(String, Val)]) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, k);
+        enoki_core::json::escape_into(out, k);
         out.push(':');
         push_val(out, v);
     }
@@ -159,7 +140,7 @@ impl Report {
     /// Serializes the report to a JSON string.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"harness\":");
-        push_json_str(&mut out, &self.harness);
+        enoki_core::json::escape_into(&mut out, &self.harness);
         out.push_str(",\"params\":");
         push_obj(&mut out, &self.params);
         out.push_str(",\"rows\":[");

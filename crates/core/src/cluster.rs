@@ -136,14 +136,6 @@ impl ClusterBuilder {
         record::enable_record_sharded(recorders.clone());
         ClusterCapture { recorders }
     }
-
-    /// Renamed: use [`ClusterBuilder::record`], matching the builder's
-    /// noun-style knob vocabulary ([`ClusterBuilder::record_slots`],
-    /// `MachineBuilder::faults`, ...).
-    #[deprecated(since = "0.10.0", note = "renamed to record")]
-    pub fn arm_record(&self) -> ClusterCapture {
-        self.record()
-    }
 }
 
 /// Owns the per-machine record streams of an armed cluster capture.

@@ -321,7 +321,7 @@ where
     /// Arms the failsafe policy: dispatch starts shadowing the runnable
     /// set, and a caught panic or token-audit violation quarantines the
     /// module instead of propagating. Idempotent.
-    pub fn arm_failsafe(&self) {
+    pub(crate) fn arm_failsafe(&self) {
         let nr_cpus = self.tokens.borrow().len();
         let mut fs = self.failsafe.borrow_mut();
         if fs.is_none() {
@@ -332,7 +332,7 @@ where
 
     /// Arms a deterministic fault plan (and, implicitly, the failsafe —
     /// injected misbehaviour is only survivable with a fallback policy).
-    pub fn arm_faults(&self, plan: FaultPlan) {
+    pub(crate) fn arm_faults(&self, plan: FaultPlan) {
         self.arm_failsafe();
         *self.faults.borrow_mut() = Some(FaultState::new(plan));
         self.faults_armed.set(true);

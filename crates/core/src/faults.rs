@@ -17,10 +17,9 @@
 //! [`crate::record::Rec::Fault`], which is how replay knows a recorded
 //! call never reached the module.
 //!
-//! Arming a plan (via [`crate::EnokiClass::arm_faults`] or
-//! [`crate::MachineBuilder::faults`]) also arms the failsafe policy, so a
-//! detonation degrades the run instead of aborting the process — see the
-//! quarantine state machine in [`crate::dispatch`].
+//! Arming a plan (via [`crate::MachineBuilder::faults`]) also arms the
+//! failsafe policy, so a detonation degrades the run instead of aborting
+//! the process — see the quarantine state machine in [`crate::dispatch`].
 
 use crate::record::FuncId;
 use enoki_sim::Ns;
@@ -112,8 +111,7 @@ pub struct FaultSpec {
 /// A deterministic, virtual-time-scheduled fault schedule.
 ///
 /// Build one explicitly with [`FaultPlan::inject`], or generate a
-/// reproducible random plan with [`FaultPlan::seeded`]. Arm it on a class
-/// with [`crate::EnokiClass::arm_faults`] or through
+/// reproducible random plan with [`FaultPlan::seeded`]. Arm it through
 /// [`crate::MachineBuilder::faults`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {

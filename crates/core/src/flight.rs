@@ -30,6 +30,7 @@
 //! so every existing emission site feeds the ring with no new hooks.
 
 use crate::health::Incident;
+use crate::json;
 use crate::metrics::{EventKind, SchedulerMetrics};
 use crate::record::Rec;
 use crate::tracing::SpanGraph;
@@ -265,12 +266,9 @@ pub fn last_dump() -> Option<PathBuf> {
 /// FNV-1a over a byte slice — the same deterministic hash the trace
 /// layer pins graphs with, here pinning dump bytes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = enoki_sim::Fnv1a::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Automatic trigger: dump if armed, rate-limited by
@@ -354,23 +352,6 @@ fn write_dump(
     Ok(bin)
 }
 
-/// Minimal JSON string escaper (zero-dep policy).
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn manifest(
     st: &FlightState,
     reason: &str,
@@ -383,7 +364,7 @@ fn manifest(
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\"reason\":");
-    json_str(&mut out, reason);
+    json::escape_into(&mut out, reason);
     let _ = write!(out, ",\"vt_ns\":{}", at.as_nanos());
     match st.spec.seed {
         Some(s) => {
@@ -404,16 +385,7 @@ fn manifest(
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"at_ns\":{},\"severity\":\"{}\",\"kind\":",
-            inc.at.as_nanos(),
-            inc.severity
-        );
-        json_str(&mut out, inc.event.kind());
-        out.push_str(",\"detail\":");
-        json_str(&mut out, &inc.event.to_string());
-        out.push('}');
+        inc.write_json(&mut out);
     }
     out.push(']');
     // Pick-latency exemplars link the worst buckets straight to a task
@@ -463,20 +435,7 @@ impl SnapshotBlackbox for Machine {
 /// taken about; `None` when the manifest is missing or carries no tail.
 pub fn manifest_tail_pid(dump: &Path) -> Option<i64> {
     let text = std::fs::read_to_string(dump.with_extension("json")).ok()?;
-    json_i64_field(&text, "tail_pid")
-}
-
-/// Extracts a top-level integer field from a (flat) manifest without a
-/// JSON parser — fields the flight layer itself wrote, so the format is
-/// known. Returns `None` for `null` or a missing key.
-pub fn json_i64_field(text: &str, key: &str) -> Option<i64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json::parse(&text).ok()?.get("tail_pid")?.as_i64()
 }
 
 #[cfg(test)]
@@ -532,15 +491,6 @@ mod tests {
             fnv1a(&bytes)
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn json_i64_field_handles_null_and_negatives() {
-        let text = r#"{"reason":"x","tail_pid":-3,"vt_ns":120,"seed":null}"#;
-        assert_eq!(json_i64_field(text, "tail_pid"), Some(-3));
-        assert_eq!(json_i64_field(text, "vt_ns"), Some(120));
-        assert_eq!(json_i64_field(text, "seed"), None);
-        assert_eq!(json_i64_field(text, "missing"), None);
     }
 
     #[test]

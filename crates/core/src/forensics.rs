@@ -2,22 +2,22 @@
 //!
 //! Record & replay makes scheduler bugs *reproducible*; this module makes
 //! them *explainable*. It consumes the parsed `Call`/`Ret`/`Hint`/lock
-//! stream a [`crate::record::Recorder`] produced and reconstructs what the
-//! scheduler actually did, offline:
+//! stream a [`crate::record::Recorder`] produced and reports what the
+//! scheduler actually did, offline. Task lifecycles are reconstructed in
+//! one place, [`SpanGraph::build`]; the two analyses here that need them
+//! are views over that graph and keep no lifecycle state of their own.
 //!
 //! - [`summarize`] — log composition (events per kind, calls per function,
 //!   threads, locks, covered virtual-time span);
-//! - [`attribute_latency`] — a per-task lifecycle state machine
-//!   (wakeup → runnable → picked → running → blocked) that attributes
-//!   scheduling latency per task and per cpu: wakeup latency, runqueue
-//!   delay, on-cpu slices, preemption/migration counts, as log-bucket
-//!   [`Histogram`]s;
+//! - [`attribute_latency`] — scheduling latency per task and per cpu, read
+//!   off the span graph: wakeup latency, runqueue delay, on-cpu slices,
+//!   preemption/migration counts, as log-bucket [`Histogram`]s;
 //! - [`analyze_locks`] — per-lock contention and hold-time statistics plus
 //!   a cross-thread lock-order cycle detector (a static deadlock-risk
 //!   analysis over the recorded acquisition graph);
 //! - [`chrome_trace_from_log`] — Chrome `trace_event` export with one lane
-//!   per recorded kernel thread and counter tracks for runnable tasks and
-//!   held locks;
+//!   per recorded kernel thread (slices and wake→dispatch arrows from the
+//!   span graph) and counter tracks for runnable tasks and held locks;
 //! - [`Divergence`] — the typed replay-divergence report (call index, tid,
 //!   function, recorded vs. actual response, and a window of surrounding
 //!   records), produced by [`crate::replay::replay`] and rendered by
@@ -30,6 +30,7 @@
 
 use crate::metrics::export::ChromeTraceBuilder;
 use crate::record::{FuncId, LockOp, Rec};
+use crate::tracing::{RunnableFrom, Span, SpanGraph, SpanKind};
 use enoki_sim::stats::Histogram;
 use enoki_sim::Ns;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -192,18 +193,6 @@ pub fn summarize(log: &[Rec]) -> LogSummary {
 // Latency attribution
 // ---------------------------------------------------------------------
 
-/// Where a task is in its reconstructed lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
-    /// On a runqueue since `since`; `from_wakeup` marks a fresh wakeup
-    /// (as opposed to a preemption/yield requeue or a fork).
-    Runnable { since: u64, from_wakeup: bool },
-    /// Picked and executing on `cpu` since `since`.
-    Running { since: u64, cpu: i32 },
-    /// Blocked (sleeping / waiting on I/O).
-    Blocked,
-}
-
 /// Latency attribution for one recorded task.
 #[derive(Debug, Clone)]
 pub struct TaskLatency {
@@ -231,26 +220,8 @@ pub struct TaskLatency {
     pub on_cpu: Histogram,
 }
 
-impl TaskLatency {
-    fn new(pid: i64) -> TaskLatency {
-        TaskLatency {
-            pid,
-            wakeups: 0,
-            picks: 0,
-            preemptions: 0,
-            yields: 0,
-            blocks: 0,
-            migrations: 0,
-            last_runtime: Ns::ZERO,
-            wakeup_latency: Histogram::new(),
-            runqueue_delay: Histogram::new(),
-            on_cpu: Histogram::new(),
-        }
-    }
-}
-
 /// Latency attribution for one recorded cpu (kernel thread).
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct CpuLatency {
     /// Cpu id.
     pub cpu: usize,
@@ -264,18 +235,6 @@ pub struct CpuLatency {
     pub runqueue_delay: Histogram,
 }
 
-impl CpuLatency {
-    fn new(cpu: usize) -> CpuLatency {
-        CpuLatency {
-            cpu,
-            calls: 0,
-            picks: 0,
-            idle_picks: 0,
-            runqueue_delay: Histogram::new(),
-        }
-    }
-}
-
 /// Per-task and per-cpu scheduling-latency attribution for a record log.
 #[derive(Debug, Default, Clone)]
 pub struct LatencyReport {
@@ -287,7 +246,19 @@ pub struct LatencyReport {
 
 impl Default for TaskLatency {
     fn default() -> TaskLatency {
-        TaskLatency::new(-1)
+        TaskLatency {
+            pid: -1,
+            wakeups: 0,
+            picks: 0,
+            preemptions: 0,
+            yields: 0,
+            blocks: 0,
+            migrations: 0,
+            last_runtime: Ns::ZERO,
+            wakeup_latency: Histogram::new(),
+            runqueue_delay: Histogram::new(),
+            on_cpu: Histogram::new(),
+        }
     }
 }
 
@@ -374,180 +345,62 @@ pub fn fmt_ns(v: Ns) -> String {
     }
 }
 
-/// Reconstructs the per-task lifecycle state machine from a record log and
-/// attributes scheduling latency per task and per cpu.
+/// Attributes scheduling latency per task and per cpu: a view over the
+/// log's [`SpanGraph`], which owns the lifecycle reconstruction. Counters
+/// are the graph's roll-ups; every `Running` span that a record closed is
+/// an on-cpu slice (one the log merely stopped during is not), and the
+/// `Runnable` span right before a `Running` one is the runqueue delay of
+/// that pick — a wakeup latency too when a fresh wakeup opened it.
 pub fn attribute_latency(log: &[Rec]) -> LatencyReport {
+    let g = SpanGraph::build(log);
     let mut report = LatencyReport::default();
-    let mut state: HashMap<i64, TaskState> = HashMap::new();
-    // Pick calls whose Ret has not arrived yet, keyed by issuing thread.
-    let mut pending_pick: HashMap<u32, (u64, i32)> = HashMap::new(); // tid -> (now, cpu)
-    // Which task currently occupies each cpu (to close slices on switch).
-    let mut running_on: HashMap<i32, i64> = HashMap::new();
-
-    let close_slice = |report: &mut LatencyReport,
-                       state: &mut HashMap<i64, TaskState>,
-                       running_on: &mut HashMap<i32, i64>,
-                       pid: i64,
-                       now: u64| {
-        if let Some(TaskState::Running { since, cpu }) = state.get(&pid).copied() {
-            report
-                .tasks
-                .entry(pid)
-                .or_insert_with(|| TaskLatency::new(pid))
-                .on_cpu
-                .record(Ns(now.saturating_sub(since)));
-            if running_on.get(&cpu) == Some(&pid) {
-                running_on.remove(&cpu);
-            }
-        }
-    };
-
-    for rec in log {
-        match *rec {
-            Rec::Call { tid, func, args } => {
-                report
-                    .cpus
-                    .entry(tid as usize)
-                    .or_insert_with(|| CpuLatency::new(tid as usize))
-                    .calls += 1;
-                let pid = args.pid;
-                if pid >= 0 {
-                    let t = report
-                        .tasks
-                        .entry(pid)
-                        .or_insert_with(|| TaskLatency::new(pid));
-                    t.last_runtime = t.last_runtime.max(Ns(args.runtime));
+    for (&cpu, c) in &g.cpus {
+        let lat = CpuLatency {
+            cpu,
+            calls: c.calls,
+            picks: c.picks,
+            idle_picks: c.idle_picks,
+            runqueue_delay: Histogram::new(),
+        };
+        report.cpus.insert(cpu, lat);
+    }
+    for (&pid, t) in &g.tasks {
+        let mut lat = TaskLatency {
+            pid,
+            wakeups: t.wakeups,
+            picks: t.picks,
+            preemptions: t.preemptions,
+            yields: t.yields,
+            blocks: t.blocks,
+            migrations: t.migrations,
+            last_runtime: Ns(t.last_runtime),
+            ..TaskLatency::default()
+        };
+        let mut prev: Option<&Span> = None;
+        for &i in &t.spans {
+            let span = &g.spans[i];
+            if span.kind == SpanKind::Running {
+                if i < g.open_from {
+                    lat.on_cpu.record(Ns(span.dur()));
                 }
-                match func {
-                    FuncId::TaskNew => {
-                        state.insert(
-                            pid,
-                            TaskState::Runnable {
-                                since: args.now,
-                                from_wakeup: false,
-                            },
-                        );
+                if let Some(&Span { kind: SpanKind::Runnable(from), start, end, .. }) = prev {
+                    let delay = Ns(end.saturating_sub(start));
+                    lat.runqueue_delay.record(delay);
+                    if from == RunnableFrom::Wakeup {
+                        lat.wakeup_latency.record(delay);
                     }
-                    FuncId::TaskWakeup => {
-                        let t = report
-                            .tasks
-                            .entry(pid)
-                            .or_insert_with(|| TaskLatency::new(pid));
-                        t.wakeups += 1;
-                        // A wakeup for a task already on cpu carries no
-                        // queueing information; ignore it.
-                        if !matches!(state.get(&pid), Some(TaskState::Running { .. })) {
-                            state.insert(
-                                pid,
-                                TaskState::Runnable {
-                                    since: args.now,
-                                    from_wakeup: true,
-                                },
-                            );
-                        }
-                    }
-                    FuncId::TaskBlocked => {
-                        report
-                            .tasks
-                            .entry(pid)
-                            .or_insert_with(|| TaskLatency::new(pid))
-                            .blocks += 1;
-                        close_slice(&mut report, &mut state, &mut running_on, pid, args.now);
-                        state.insert(pid, TaskState::Blocked);
-                    }
-                    FuncId::TaskYield | FuncId::TaskPreempt => {
-                        let t = report
-                            .tasks
-                            .entry(pid)
-                            .or_insert_with(|| TaskLatency::new(pid));
-                        if func == FuncId::TaskYield {
-                            t.yields += 1;
-                        } else {
-                            t.preemptions += 1;
-                        }
-                        close_slice(&mut report, &mut state, &mut running_on, pid, args.now);
-                        state.insert(
-                            pid,
-                            TaskState::Runnable {
-                                since: args.now,
-                                from_wakeup: false,
-                            },
-                        );
-                    }
-                    FuncId::MigrateTaskRq => {
-                        report
-                            .tasks
-                            .entry(pid)
-                            .or_insert_with(|| TaskLatency::new(pid))
-                            .migrations += 1;
-                    }
-                    FuncId::TaskDead | FuncId::TaskDeparted => {
-                        close_slice(&mut report, &mut state, &mut running_on, pid, args.now);
-                        state.remove(&pid);
-                    }
-                    FuncId::PickNextTask => {
-                        pending_pick.insert(tid, (args.now, args.cpu));
-                    }
-                    _ => {}
-                }
-            }
-            Rec::Ret {
-                tid,
-                func: FuncId::PickNextTask,
-                val,
-            } => {
-                let Some((now, cpu)) = pending_pick.remove(&tid) else {
-                    continue;
-                };
-                let c = report
-                    .cpus
-                    .entry(cpu.max(0) as usize)
-                    .or_insert_with(|| CpuLatency::new(cpu.max(0) as usize));
-                c.picks += 1;
-                if val < 0 {
-                    c.idle_picks += 1;
-                    continue;
-                }
-                let pid = val;
-                // A pick implicitly switches out whoever held the cpu.
-                let prev = running_on.get(&cpu).copied();
-                if let Some(prev) = prev.filter(|&p| p != pid) {
-                    close_slice(&mut report, &mut state, &mut running_on, prev, now);
-                    state.insert(
-                        prev,
-                        TaskState::Runnable {
-                            since: now,
-                            from_wakeup: false,
-                        },
-                    );
-                }
-                if let Some(TaskState::Runnable { since, from_wakeup }) = state.get(&pid).copied() {
-                    let delay = Ns(now.saturating_sub(since));
-                    let t = report
-                        .tasks
-                        .entry(pid)
-                        .or_insert_with(|| TaskLatency::new(pid));
-                    t.runqueue_delay.record(delay);
-                    if from_wakeup {
-                        t.wakeup_latency.record(delay);
-                    }
+                    let cpu = span.cpu.max(0) as usize;
                     report
                         .cpus
-                        .get_mut(&(cpu.max(0) as usize))
-                        .expect("cpu entry created above")
+                        .entry(cpu)
+                        .or_insert_with(|| CpuLatency { cpu, ..CpuLatency::default() })
                         .runqueue_delay
                         .record(delay);
                 }
-                report
-                    .tasks
-                    .entry(pid)
-                    .or_insert_with(|| TaskLatency::new(pid))
-                    .picks += 1;
-                state.insert(pid, TaskState::Running { since: now, cpu });
-                running_on.insert(cpu, pid);
             }
-            _ => {}
+            prev = Some(span);
         }
+        report.tasks.insert(pid, lat);
     }
     report
 }
@@ -983,44 +836,48 @@ pub fn describe_rec(rec: &Rec) -> String {
 // ---------------------------------------------------------------------
 
 /// Converts a record log into Chrome `trace_event` JSON: one lane per
-/// recorded kernel thread (cpu), on-cpu slices as complete spans, wakeups
-/// / migrations / hints as instants, plus counter tracks for the runnable
-/// task count and the number of held shim locks.
+/// recorded kernel thread (cpu). The on-cpu slices and the dispatch end of
+/// every wake→dispatch flow arrow are read off the log's [`SpanGraph`];
+/// the record pass adds only what the graph does not model — wakeup /
+/// migration / hint / decision instants on the *issuing* thread's lane
+/// (with the flow starts that ride on the wakeup instants), and the
+/// counter tracks for the runnable task count and the held shim locks.
 pub fn chrome_trace_from_log(log: &[Rec]) -> String {
+    let g = SpanGraph::build(log);
     let mut b = ChromeTraceBuilder::new();
-    // Open on-cpu span per cpu lane: (pid, start).
-    let mut open: HashMap<i32, (i64, u64)> = HashMap::new();
-    let mut pending_pick: HashMap<u32, (u64, i32)> = HashMap::new();
+    for s in g.spans.iter().filter(|s| s.kind == SpanKind::Running) {
+        b.span(
+            &format!("pid {}", s.pid),
+            "sched",
+            s.cpu.max(0) as usize,
+            Ns(s.start),
+            Ns(s.dur()),
+        );
+    }
+    // (pid, wakeup time) -> (cpu, time) of the pick that answered it: the
+    // start of the `Running` span that follows a `Runnable(Wakeup)` span.
+    let mut dispatched: HashMap<(i64, u64), (i32, u64)> = HashMap::new();
+    for t in g.tasks.values() {
+        for pair in t.spans.windows(2) {
+            let (wait, run) = (&g.spans[pair[0]], &g.spans[pair[1]]);
+            if wait.kind == SpanKind::Runnable(RunnableFrom::Wakeup)
+                && run.kind == SpanKind::Running
+            {
+                dispatched.insert((wait.pid, wait.start), (run.cpu, run.start));
+            }
+        }
+    }
     // Runnable-set tracking for the counter track.
     let mut runnable: BTreeSet<i64> = BTreeSet::new();
-    // pid -> flow id of a wakeup whose dispatch arrow is still pending;
-    // closing it at the next pick of that pid draws the causal arrow
-    // (waker lane → picked lane) in Perfetto.
-    let mut pending_wake: HashMap<i64, u64> = HashMap::new();
     let mut next_flow = 0u64;
     let mut held_locks = 0i64;
     let mut clock = 0u64;
-
-    let close = |b: &mut ChromeTraceBuilder, open: &mut HashMap<i32, (i64, u64)>, cpu: i32, at: u64| {
-        if let Some((pid, start)) = open.remove(&cpu) {
-            b.span(
-                &format!("pid {pid}"),
-                "sched",
-                cpu.max(0) as usize,
-                Ns(start),
-                Ns(at.saturating_sub(start)),
-            );
-        }
-    };
 
     for rec in log {
         match *rec {
             Rec::Call { tid, func, args } => {
                 clock = args.now;
                 match func {
-                    FuncId::PickNextTask => {
-                        pending_pick.insert(tid, (args.now, args.cpu));
-                    }
                     FuncId::TaskWakeup | FuncId::TaskNew => {
                         if func == FuncId::TaskWakeup {
                             b.instant(
@@ -1030,29 +887,25 @@ pub fn chrome_trace_from_log(log: &[Rec]) -> String {
                                 Ns(args.now),
                                 Some(&format!(r#"{{"pid":{}}}"#, args.pid)),
                             );
+                            // The causal arrow (waker lane → picked lane);
+                            // it has an end only if the graph saw this
+                            // wakeup dispatched.
+                            let name = format!("wake pid {}", args.pid);
                             let id = next_flow;
                             next_flow += 1;
-                            pending_wake.insert(args.pid, id);
-                            b.flow_start(
-                                &format!("wake pid {}", args.pid),
-                                "wakeflow",
-                                id,
-                                tid as usize,
-                                Ns(args.now),
-                            );
+                            b.flow_start(&name, "wakeflow", id, tid as usize, Ns(args.now));
+                            if let Some((cpu, at)) = dispatched.remove(&(args.pid, args.now)) {
+                                b.flow_end(&name, "wakeflow", id, cpu.max(0) as usize, Ns(at));
+                            }
                         }
                         if runnable.insert(args.pid) {
                             b.counter("runnable", Ns(args.now), "tasks", runnable.len() as f64);
                         }
                     }
-                    FuncId::TaskBlocked | FuncId::TaskDead | FuncId::TaskDeparted => {
-                        close(&mut b, &mut open, args.cpu, args.now);
-                        if runnable.remove(&args.pid) {
-                            b.counter("runnable", Ns(args.now), "tasks", runnable.len() as f64);
-                        }
-                    }
-                    FuncId::TaskYield | FuncId::TaskPreempt => {
-                        close(&mut b, &mut open, args.cpu, args.now);
+                    FuncId::TaskBlocked | FuncId::TaskDead | FuncId::TaskDeparted
+                        if runnable.remove(&args.pid) =>
+                    {
+                        b.counter("runnable", Ns(args.now), "tasks", runnable.len() as f64);
                     }
                     FuncId::MigrateTaskRq => {
                         b.instant(
@@ -1067,27 +920,6 @@ pub fn chrome_trace_from_log(log: &[Rec]) -> String {
                         );
                     }
                     _ => {}
-                }
-            }
-            Rec::Ret {
-                tid,
-                func: FuncId::PickNextTask,
-                val,
-            } => {
-                if let Some((now, cpu)) = pending_pick.remove(&tid) {
-                    close(&mut b, &mut open, cpu, now);
-                    if val >= 0 {
-                        open.insert(cpu, (val, now));
-                        if let Some(id) = pending_wake.remove(&val) {
-                            b.flow_end(
-                                &format!("wake pid {val}"),
-                                "wakeflow",
-                                id,
-                                cpu.max(0) as usize,
-                                Ns(now),
-                            );
-                        }
-                    }
                 }
             }
             Rec::Decision {
@@ -1130,10 +962,6 @@ pub fn chrome_trace_from_log(log: &[Rec]) -> String {
             }
             _ => {}
         }
-    }
-    let cpus: Vec<i32> = open.keys().copied().collect();
-    for cpu in cpus {
-        close(&mut b, &mut open, cpu, clock);
     }
     b.finish()
 }
@@ -1344,6 +1172,50 @@ mod tests {
         assert!(doc.contains(r#""name":"runnable""#), "{doc}");
         assert!(doc.contains(r#""name":"shim locks""#), "{doc}");
         assert!(doc.contains(r#""ph":"C""#), "{doc}");
+    }
+
+    /// `dispatch_task_dead` has no cpu to record and writes `cpu: 0`; a
+    /// death on cpu 3 must not cut the slice running on lane 0 short.
+    #[test]
+    fn a_death_elsewhere_does_not_close_lane_zero() {
+        let log = vec![
+            call(0, FuncId::PickNextTask, -1, 0, 1000),
+            ret(0, FuncId::PickNextTask, 7),
+            call(3, FuncId::PickNextTask, -1, 3, 1200),
+            ret(3, FuncId::PickNextTask, 9),
+            call(3, FuncId::TaskDead, 9, 0, 2000),
+            call(0, FuncId::TaskBlocked, 7, 0, 5000),
+        ];
+        let doc = chrome_trace_from_log(&log);
+        let slice = |pid: i64, ts: &str, dur: &str, lane: usize| {
+            format!(r#""name":"pid {pid}","cat":"sched","ph":"X","ts":{ts},"dur":{dur},"pid":0,"tid":{lane}"#)
+        };
+        assert!(doc.contains(&slice(7, "1.000", "4.000", 0)), "{doc}");
+        assert!(doc.contains(&slice(9, "1.200", "0.800", 3)), "{doc}");
+    }
+
+    /// A log cut while pid 7 is on cpu: the slice the log stopped during
+    /// is no on-cpu sample (nothing ended it), but it is run time in the
+    /// task's breakdown, which still sums to wall.
+    #[test]
+    fn a_slice_open_at_the_end_of_the_log_is_not_an_on_cpu_sample() {
+        let mut log = lifecycle_log();
+        log.truncate(6); // ... re-picked at t=5500
+        log.push(call(0, FuncId::TaskTick, 7, 0, 5900));
+        let report = attribute_latency(&log);
+        let t = &report.tasks[&7];
+        assert_eq!(t.picks, 2);
+        assert_eq!(t.runqueue_delay.count(), 2);
+        assert_eq!(t.on_cpu.count(), 1, "only the preempted slice ended");
+        assert_eq!(t.on_cpu.max(), Ns(2000));
+
+        let g = SpanGraph::build(&log);
+        assert_eq!(g.open_from, g.spans.len() - 1);
+        let open = g.spans[g.open_from];
+        assert_eq!((open.kind, open.start, open.end), (SpanKind::Running, 5500, 5900));
+        let b = g.breakdown(7).expect("pid 7 has spans");
+        assert_eq!(b.run, 2000 + 400);
+        assert_eq!(b.sum(), b.wall());
     }
 
     #[test]

@@ -265,6 +265,23 @@ pub struct Incident {
     pub event: HealthEvent,
 }
 
+impl Incident {
+    /// Appends the incident as a JSON object — the one shape the health
+    /// export and the flight manifests both carry.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "{{\"at_ns\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"detail\":",
+            self.at.as_nanos(),
+            self.severity,
+            self.event.kind()
+        );
+        crate::json::escape_into(out, &self.event.to_string());
+        out.push('}');
+    }
+}
+
 /// What the watchdog does when a monitor fires.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HealthPolicy {
@@ -1069,7 +1086,7 @@ impl Watchdog {
         let st = self.lock();
         let mut out = String::new();
         out.push_str("{\"scheduler\":");
-        json_string(&mut out, &st.scheduler);
+        crate::json::escape_into(&mut out, &st.scheduler);
         let _ = write!(
             out,
             ",\"sample_interval_ns\":{},\"incident_count\":{},\"dropped_incidents\":{}",
@@ -1114,39 +1131,11 @@ impl Watchdog {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"at_ns\":{},\"severity\":\"{}\",\"kind\":\"{}\",\"detail\":",
-                inc.at.as_nanos(),
-                inc.severity,
-                inc.event.kind()
-            );
-            json_string(&mut out, &inc.event.to_string());
-            out.push('}');
+            inc.write_json(&mut out);
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Appends `s` as a JSON string literal (with escaping) to `out`.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -1202,13 +1191,6 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("task 7"), "{text}");
         assert!(text.contains("cpu 2"), "{text}");
-    }
-
-    #[test]
-    fn json_escaping() {
-        let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     // --- SLO burn-rate math ------------------------------------------

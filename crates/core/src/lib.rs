@@ -89,6 +89,7 @@ pub mod faults;
 pub mod flight;
 pub mod forensics;
 pub mod health;
+pub mod json;
 pub mod kernel;
 pub mod meta;
 pub mod metrics;

@@ -1,6 +1,7 @@
 //! Exporters for the observability layer: Chrome `trace_event` JSON (the
 //! format `chrome://tracing` / Perfetto / SchedViz-style viewers load) and
-//! a dependency-free JSON well-formedness checker used by tests and tools.
+//! the JSON well-formedness check tests hold the exporters to (the
+//! grammar itself lives in [`crate::json`]).
 //!
 //! Two sources export here:
 //! - a sim-side [`Tracer`] (per-cpu scheduling timeline as complete "X"
@@ -9,28 +10,10 @@
 //!   (instant events carrying kind/cpu/pid/arg).
 
 use super::TraceRecord;
+use crate::json;
 use enoki_sim::trace::{TraceEvent, Tracer};
 use enoki_sim::Ns;
 use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Incrementally builds a Chrome `trace_event` JSON document.
 ///
@@ -51,16 +34,24 @@ impl ChromeTraceBuilder {
         ns as f64 / 1000.0
     }
 
+    /// Pushes one event: `{"name":<name>[,"cat":<cat>]<rest>`; `rest`
+    /// closes the object.
+    fn event(&mut self, name: &str, cat: Option<&str>, rest: std::fmt::Arguments<'_>) {
+        let mut e = String::from("{\"name\":");
+        json::escape_into(&mut e, name);
+        if let Some(cat) = cat {
+            e.push_str(",\"cat\":");
+            json::escape_into(&mut e, cat);
+        }
+        let _ = e.write_fmt(rest);
+        self.events.push(e);
+    }
+
     /// Adds a complete ("X") span on row `tid` from `start` for `dur`.
     pub fn span(&mut self, name: &str, cat: &str, tid: usize, start: Ns, dur: Ns) {
-        self.events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{:.3},"dur":{:.3},"pid":0,"tid":{}}}"#,
-            json_escape(name),
-            json_escape(cat),
-            Self::us(start.0),
-            Self::us(dur.0),
-            tid
-        ));
+        let (ts, dur) = (Self::us(start.0), Self::us(dur.0));
+        let rest = format_args!(r#","ph":"X","ts":{ts:.3},"dur":{dur:.3},"pid":0,"tid":{tid}}}"#);
+        self.event(name, Some(cat), rest);
     }
 
     /// Adds an instant ("i") event on row `tid` at `at`, with optional
@@ -69,28 +60,18 @@ impl ChromeTraceBuilder {
         let args = args
             .map(|a| format!(r#","args":{a}"#))
             .unwrap_or_default();
-        self.events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"i","s":"t","ts":{:.3},"pid":0,"tid":{}{}}}"#,
-            json_escape(name),
-            json_escape(cat),
-            Self::us(at.0),
-            tid,
-            args
-        ));
+        let ts = Self::us(at.0);
+        let rest = format_args!(r#","ph":"i","s":"t","ts":{ts:.3},"pid":0,"tid":{tid}{args}}}"#);
+        self.event(name, Some(cat), rest);
     }
 
     /// Starts a flow arrow ("s") with the given `id` on row `tid` at
     /// `at`. Pair with [`flow_end`](Self::flow_end) using the same `id`
     /// and `cat`; Perfetto draws an arrow between the two points.
     pub fn flow_start(&mut self, name: &str, cat: &str, id: u64, tid: usize, at: Ns) {
-        self.events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"s","id":{},"ts":{:.3},"pid":0,"tid":{}}}"#,
-            json_escape(name),
-            json_escape(cat),
-            id,
-            Self::us(at.0),
-            tid
-        ));
+        let ts = Self::us(at.0);
+        let rest = format_args!(r#","ph":"s","id":{id},"ts":{ts:.3},"pid":0,"tid":{tid}}}"#);
+        self.event(name, Some(cat), rest);
     }
 
     /// Ends a flow arrow ("f") started by [`flow_start`](Self::flow_start)
@@ -98,25 +79,18 @@ impl ChromeTraceBuilder {
     /// enclosing slice rather than the next one, which is what a
     /// wakeup→dispatch arrow should point at.
     pub fn flow_end(&mut self, name: &str, cat: &str, id: u64, tid: usize, at: Ns) {
-        self.events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"f","bp":"e","id":{},"ts":{:.3},"pid":0,"tid":{}}}"#,
-            json_escape(name),
-            json_escape(cat),
-            id,
-            Self::us(at.0),
-            tid
-        ));
+        let ts = Self::us(at.0);
+        let rest = format_args!(r#","ph":"f","bp":"e","id":{id},"ts":{ts:.3},"pid":0,"tid":{tid}}}"#);
+        self.event(name, Some(cat), rest);
     }
 
     /// Adds a counter ("C") sample named `name` at `at`.
     pub fn counter(&mut self, name: &str, at: Ns, series: &str, value: f64) {
-        self.events.push(format!(
-            r#"{{"name":"{}","ph":"C","ts":{:.3},"pid":0,"args":{{"{}":{}}}}}"#,
-            json_escape(name),
-            Self::us(at.0),
-            json_escape(series),
-            value
-        ));
+        let mut key = String::new();
+        json::escape_into(&mut key, series);
+        let ts = Self::us(at.0);
+        let rest = format_args!(r#","ph":"C","ts":{ts:.3},"pid":0,"args":{{{key}:{value}}}}}"#);
+        self.event(name, None, rest);
     }
 
     /// Number of events added so far.
@@ -221,169 +195,10 @@ pub fn chrome_trace_from_records(records: &[TraceRecord]) -> String {
     b.finish()
 }
 
-// ----------------------------------------------------------------------
-// JSON validation
-// ----------------------------------------------------------------------
-
-/// Checks that `s` is one well-formed JSON value (offline stand-in for a
-/// real parser; used by tests to keep the exporters honest).
+/// Checks that `s` is one well-formed JSON value: [`json::parse`] with
+/// the value dropped (tests use it to keep the exporters honest).
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}", pos = *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte at {pos}", pos = *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected key at byte {pos}", pos = *pos));
-        }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
+    json::parse(s).map(drop)
 }
 
 #[cfg(test)]

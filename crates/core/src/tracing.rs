@@ -1,15 +1,19 @@
-//! Causal span tracing over record logs: the "why was this slow" layer.
+//! Causal span tracing over record logs: the "why was this slow" layer,
+//! and the one reading of a record log every lifecycle analysis shares.
 //!
-//! [`crate::forensics`] answers *what* the scheduler did (counts,
-//! latency quantiles, lock stats). This module answers *why*: it lifts a
-//! record log into a **causal span graph** — every task's life becomes a
+//! [`SpanGraph::build`] is the only code that reconstructs task
+//! lifecycles from a log — pairing each `pick_next_task` call with its
+//! return, switching out whoever a pick displaces, ignoring a wakeup for
+//! a task already on cpu, closing a task's life at its death. It lifts
+//! the log into a **causal span graph**: every task's life becomes a
 //! chain of typed spans (runnable → running → blocked → runnable …) with
 //! cross-task causal edges (who woke whom, which hint re-pinned a task,
-//! which thread handed a shim lock to which) — and attaches the
+//! which thread handed a shim lock to which), and it attaches the
 //! [`Rec::Decision`] annotations the schedulers emit on every pick, so a
 //! single question like "why did pid 7 wait 2 ms?" resolves to "it woke at
 //! t, policy 10 picked pid 3 over it twice (min_vruntime, 4 candidates),
-//! it ran at t+2ms".
+//! it ran at t+2ms". [`crate::forensics`]' latency attribution and Chrome
+//! export are views over this graph, not second reconstructions.
 //!
 //! On top of the graph:
 //!
@@ -33,7 +37,7 @@
 //! traced runs replay divergence-free.
 
 use crate::record::{DecisionReason, FuncId, Rec};
-use enoki_sim::Ns;
+use enoki_sim::{Fnv1a, Ns};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,19 +238,48 @@ pub struct TaskTrace {
     pub preemptions: u64,
     /// Cross-cpu migrations observed.
     pub migrations: u64,
+    /// Times the task was picked to run.
+    pub picks: u64,
+    /// Voluntary yields.
+    pub yields: u64,
+    /// Blocks (`task_blocked` calls).
+    pub blocks: u64,
+    /// Largest accumulated runtime (ns) any call reported for the task.
+    pub last_runtime: u64,
+}
+
+/// Per-cpu call census over the log.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CpuCensus {
+    /// Scheduler calls issued by this kernel thread (keyed by `tid`).
+    pub calls: u64,
+    /// `pick_next_task` calls answered for this cpu.
+    pub picks: u64,
+    /// Picks that found no task (the cpu went idle).
+    pub idle_picks: u64,
 }
 
 /// The causal span graph for one record log.
 #[derive(Debug, Default)]
 pub struct SpanGraph {
-    /// All spans, ordered by start time (ties keep log order).
+    /// All spans, in the order they closed — a span is pushed when the
+    /// record that ends it is read, so this is not start-time order. The
+    /// spans the end-of-log sweep closed come last, in pid order; see
+    /// [`SpanGraph::open_from`].
     pub spans: Vec<Span>,
+    /// Index of the first span closed by the end-of-log sweep rather
+    /// than by a record: spans at or past it were still open when the
+    /// log stopped, so their `end` is the last observed instant, not a
+    /// lifecycle event.
+    pub open_from: usize,
     /// Cross-task / cross-thread causal edges, in log order.
     pub edges: Vec<Edge>,
     /// Pick decisions, in log order.
     pub decisions: Vec<DecisionView>,
     /// Per-task roll-ups, keyed by pid.
     pub tasks: BTreeMap<i64, TaskTrace>,
+    /// Per-cpu call census, keyed by cpu id.
+    pub cpus: BTreeMap<usize, CpuCensus>,
     /// Virtual time of the first call in the log.
     pub first_now: u64,
     /// Virtual time of the last call in the log.
@@ -334,22 +367,22 @@ pub struct CritStep {
 // Graph construction
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-enum Life {
-    Runnable { since: u64, from: RunnableFrom, cpu: i32 },
-    Running { since: u64, cpu: i32 },
-    Blocked { since: u64 },
+/// The lifecycle state [`SpanGraph::build`] carries through the log.
+#[derive(Default)]
+struct OpenSpans {
+    /// Each live task's open span; `end` is set when it closes.
+    life: HashMap<i64, Span>,
+    /// Which task occupies each cpu (to close its slice on a switch).
+    on_cpu: HashMap<i32, i64>,
 }
 
 impl SpanGraph {
     /// Builds the span graph from a record log.
     pub fn build(log: &[Rec]) -> SpanGraph {
         let mut g = SpanGraph::default();
-        let mut life: HashMap<i64, Life> = HashMap::new();
+        let mut open = OpenSpans::default();
         // Pick calls whose Ret has not arrived yet: tid -> (now, cpu).
         let mut pending_pick: HashMap<u32, (u64, i32)> = HashMap::new();
-        // Which task occupies each cpu (to close slices on switch).
-        let mut running_on: HashMap<i32, i64> = HashMap::new();
         // Last releaser of each shim lock: lock -> tid.
         let mut last_release: HashMap<u64, u32> = HashMap::new();
         let mut clock = 0u64;
@@ -362,18 +395,16 @@ impl SpanGraph {
                     if first.is_none() {
                         first = Some(args.now);
                     }
+                    g.cpus.entry(tid as usize).or_default().calls += 1;
                     let pid = args.pid;
+                    if pid >= 0 {
+                        let t = g.task(pid);
+                        t.last_runtime = t.last_runtime.max(args.runtime);
+                    }
                     match func {
                         FuncId::TaskNew => {
-                            g.close(&mut life, &mut running_on, pid, args.now);
-                            life.insert(
-                                pid,
-                                Life::Runnable {
-                                    since: args.now,
-                                    from: RunnableFrom::Created,
-                                    cpu: args.cpu,
-                                },
-                            );
+                            let kind = SpanKind::Runnable(RunnableFrom::Created);
+                            g.enter(&mut open, pid, args.now, kind, args.cpu);
                         }
                         FuncId::TaskWakeup => {
                             g.task(pid).wakeups += 1;
@@ -388,49 +419,36 @@ impl SpanGraph {
                             }
                             // A wakeup for a task already on cpu carries no
                             // queueing information; ignore it.
-                            if !matches!(life.get(&pid), Some(Life::Running { .. })) {
-                                g.close(&mut life, &mut running_on, pid, args.now);
-                                life.insert(
-                                    pid,
-                                    Life::Runnable {
-                                        since: args.now,
-                                        from: RunnableFrom::Wakeup,
-                                        cpu: args.cpu,
-                                    },
-                                );
+                            if open.life.get(&pid).is_none_or(|s| s.kind != SpanKind::Running) {
+                                let kind = SpanKind::Runnable(RunnableFrom::Wakeup);
+                                g.enter(&mut open, pid, args.now, kind, args.cpu);
                             }
                         }
                         FuncId::TaskBlocked => {
-                            g.close(&mut life, &mut running_on, pid, args.now);
-                            life.insert(pid, Life::Blocked { since: args.now });
+                            g.task(pid).blocks += 1;
+                            g.enter(&mut open, pid, args.now, SpanKind::Blocked, -1);
                         }
                         FuncId::TaskYield | FuncId::TaskPreempt => {
-                            if func == FuncId::TaskPreempt {
+                            let from = if func == FuncId::TaskPreempt {
                                 g.task(pid).preemptions += 1;
-                            }
-                            g.close(&mut life, &mut running_on, pid, args.now);
-                            life.insert(
-                                pid,
-                                Life::Runnable {
-                                    since: args.now,
-                                    from: if func == FuncId::TaskPreempt {
-                                        RunnableFrom::Preempt
-                                    } else {
-                                        RunnableFrom::Yield
-                                    },
-                                    cpu: args.cpu,
-                                },
-                            );
+                                RunnableFrom::Preempt
+                            } else {
+                                g.task(pid).yields += 1;
+                                RunnableFrom::Yield
+                            };
+                            let kind = SpanKind::Runnable(from);
+                            g.enter(&mut open, pid, args.now, kind, args.cpu);
                         }
                         FuncId::MigrateTaskRq => {
                             g.task(pid).migrations += 1;
-                            if let Some(Life::Runnable { cpu, .. }) = life.get_mut(&pid) {
-                                *cpu = args.cpu;
+                            if let Some(s) = open.life.get_mut(&pid) {
+                                if matches!(s.kind, SpanKind::Runnable(_)) {
+                                    s.cpu = args.cpu;
+                                }
                             }
                         }
                         FuncId::TaskDead | FuncId::TaskDeparted => {
-                            g.close(&mut life, &mut running_on, pid, args.now);
-                            life.remove(&pid);
+                            g.close(&mut open, pid, args.now);
                         }
                         FuncId::PickNextTask => {
                             pending_pick.insert(tid, (args.now, args.cpu));
@@ -442,25 +460,21 @@ impl SpanGraph {
                     let Some((now, cpu)) = pending_pick.remove(&tid) else {
                         continue;
                     };
+                    let census = g.cpus.entry(cpu.max(0) as usize).or_default();
+                    census.picks += 1;
                     if val < 0 {
+                        census.idle_picks += 1;
                         continue;
                     }
                     let pid = val;
+                    g.task(pid).picks += 1;
                     // A pick implicitly switches out whoever held the cpu.
-                    if let Some(prev) = running_on.get(&cpu).copied().filter(|&p| p != pid) {
-                        g.close(&mut life, &mut running_on, prev, now);
-                        life.insert(
-                            prev,
-                            Life::Runnable {
-                                since: now,
-                                from: RunnableFrom::Switched,
-                                cpu,
-                            },
-                        );
+                    if let Some(prev) = open.on_cpu.get(&cpu).copied().filter(|&p| p != pid) {
+                        let kind = SpanKind::Runnable(RunnableFrom::Switched);
+                        g.enter(&mut open, prev, now, kind, cpu);
                     }
-                    g.close(&mut life, &mut running_on, pid, now);
-                    life.insert(pid, Life::Running { since: now, cpu });
-                    running_on.insert(cpu, pid);
+                    g.enter(&mut open, pid, now, SpanKind::Running, cpu);
+                    open.on_cpu.insert(cpu, pid);
                 }
                 Rec::Hint { pid, kind, a, .. } if a >= 0 && a != pid => {
                     g.edges.push(Edge {
@@ -513,10 +527,11 @@ impl SpanGraph {
         // Close everything still open at the last observed instant, in
         // pid order — iteration must not depend on HashMap layout or the
         // graph hash would vary between identical runs.
-        let mut pids: Vec<i64> = life.keys().copied().collect();
+        g.open_from = g.spans.len();
+        let mut pids: Vec<i64> = open.life.keys().copied().collect();
         pids.sort_unstable();
         for pid in pids {
-            g.close(&mut life, &mut running_on, pid, clock);
+            g.close(&mut open, pid, clock);
         }
         g.first_now = first.unwrap_or(0);
         g.last_now = clock;
@@ -527,39 +542,20 @@ impl SpanGraph {
         self.tasks.entry(pid).or_default()
     }
 
-    /// Closes `pid`'s open life interval (if any) into a span at `now`.
-    fn close(
-        &mut self,
-        life: &mut HashMap<i64, Life>,
-        running_on: &mut HashMap<i32, i64>,
-        pid: i64,
-        now: u64,
-    ) {
-        let Some(l) = life.remove(&pid) else { return };
-        let span = match l {
-            Life::Runnable { since, from, cpu } => Span {
-                pid,
-                kind: SpanKind::Runnable(from),
-                start: since,
-                end: now,
-                cpu,
-            },
-            Life::Running { since, cpu } => {
-                if running_on.get(&cpu) == Some(&pid) {
-                    running_on.remove(&cpu);
-                }
-                Span { pid, kind: SpanKind::Running, start: since, end: now, cpu }
-            }
-            Life::Blocked { since } => Span {
-                pid,
-                kind: SpanKind::Blocked,
-                start: since,
-                end: now,
-                cpu: -1,
-            },
-        };
+    /// Closes `pid`'s open span (if any) at `now` and opens the next one.
+    fn enter(&mut self, open: &mut OpenSpans, pid: i64, now: u64, kind: SpanKind, cpu: i32) {
+        self.close(open, pid, now);
+        open.life.insert(pid, Span { pid, kind, start: now, end: now, cpu });
+    }
+
+    /// Closes `pid`'s open span (if any) into the graph at `now`.
+    fn close(&mut self, open: &mut OpenSpans, pid: i64, now: u64) {
+        let Some(span) = open.life.remove(&pid) else { return };
+        if span.kind == SpanKind::Running && open.on_cpu.get(&span.cpu) == Some(&pid) {
+            open.on_cpu.remove(&span.cpu);
+        }
         let idx = self.spans.len();
-        self.spans.push(span);
+        self.spans.push(Span { end: now, ..span });
         self.task(pid).spans.push(idx);
     }
 
@@ -670,7 +666,7 @@ impl SpanGraph {
     /// Identical runs hash identically; the determinism tests and the
     /// trace bench baseline pin this value.
     pub fn graph_hash(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for s in &self.spans {
             h.u64(s.pid as u64);
             h.u64(s.kind.hash_code());
@@ -926,29 +922,6 @@ pub fn profile(log: &[Rec], stride: usize) -> ProfileReport {
         }
     }
     report
-}
-
-// ---------------------------------------------------------------------
-// FNV-1a
-// ---------------------------------------------------------------------
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

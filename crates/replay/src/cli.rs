@@ -8,6 +8,7 @@
 use enoki_core::forensics::{
     analyze_locks, attribute_latency, chrome_trace_from_log, describe_rec, summarize,
 };
+use enoki_core::json;
 use enoki_core::record::{ParsedLog, Rec};
 use enoki_core::replay::{replay_with, ReplayOptions, ReplayReport};
 use enoki_core::tracing::{profile, SpanGraph};
@@ -174,34 +175,37 @@ pub fn blackbox(log: &ParsedLog, manifest: Option<&str>) -> String {
     let mut out = String::new();
     let mut manifest_pid = None;
     if let Some(text) = manifest {
-        let field = |key: &str| {
-            let needle = format!("\"{key}\":\"");
-            let at = text.find(&needle)? + needle.len();
-            text[at..].split('"').next().map(str::to_string)
-        };
         let _ = writeln!(out, "=== black box ===");
-        if let Some(reason) = field("reason") {
+        // A manifest that does not parse still leaves the dump itself
+        // to triage: say so and fall through to the graph's own tail.
+        let m = json::parse(text).unwrap_or_else(|e| {
+            let _ = writeln!(out, "manifest unreadable: {e}");
+            json::Value::Null
+        });
+        if let Some(reason) = m.get("reason").and_then(json::Value::as_str) {
             let _ = writeln!(out, "reason:   {reason}");
         }
-        if let Some(vt) = enoki_core::flight::json_i64_field(text, "vt_ns") {
+        if let Some(vt) = m.get("vt_ns").and_then(json::Value::as_i64) {
             let _ = writeln!(out, "dumped:   t = {}ns", vt);
         }
-        if let Some(seed) = enoki_core::flight::json_i64_field(text, "seed") {
+        if let Some(seed) = m.get("seed").and_then(json::Value::as_i64) {
             let _ = writeln!(out, "seed:     {seed}");
         }
-        if let Some(fnv) = field("fnv") {
+        if let Some(fnv) = m.get("fnv").and_then(json::Value::as_str) {
             let _ = writeln!(out, "fnv:      {fnv}");
         }
-        manifest_pid = enoki_core::flight::json_i64_field(text, "tail_pid");
+        manifest_pid = m.get("tail_pid").and_then(json::Value::as_i64);
         if let Some(pid) = manifest_pid {
             let _ = writeln!(out, "tail pid: {pid}");
         }
         // The manifest's incident tail: what health saw leading up to
         // the dump, without needing the health JSON export.
-        let incidents: Vec<&str> = text
-            .split("\"detail\":\"")
-            .skip(1)
-            .filter_map(|s| s.split('"').next())
+        let incidents: Vec<&str> = m
+            .get("incidents")
+            .and_then(json::Value::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|inc| inc.get("detail")?.as_str())
             .collect();
         if !incidents.is_empty() {
             let _ = writeln!(out, "recent incidents:");

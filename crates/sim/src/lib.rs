@@ -43,6 +43,7 @@ pub mod costs;
 pub mod energy;
 pub mod event;
 pub mod fifo_ref;
+pub mod fnv;
 pub mod ipc;
 pub mod machine;
 pub mod rng;
@@ -56,6 +57,7 @@ pub mod trace;
 pub use behavior::{Behavior, BehaviorCtx, HintVal, Op, PipeId};
 pub use cluster::{ClusterError, ClusterReport, ClusterSpec, Shard, WireMsg};
 pub use costs::CostModel;
+pub use fnv::Fnv1a;
 pub use machine::{Machine, Sampler, SimError, TaskSpec};
 pub use sched_class::{Command, KernelCtx, SchedClass};
 pub use task::{Pid, TaskView, WakeFlags};

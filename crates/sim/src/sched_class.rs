@@ -89,13 +89,6 @@ impl KernelCtx {
             .push(Command::StartPreemptTimer(cpu, delay));
     }
 
-    /// Renamed: use [`KernelCtx::start_preempt_timer`], matching the
-    /// framework-side trait vocabulary.
-    #[deprecated(since = "0.10.0", note = "renamed to start_preempt_timer")]
-    pub fn start_hrtimer(&self, cpu: CpuId, delay: Ns) {
-        self.start_preempt_timer(cpu, delay);
-    }
-
     /// Wakes up to `n` waiters on futex `key`.
     pub fn futex_wake(&self, key: u64, n: u32) {
         self.cmds.borrow_mut().push(Command::FutexWake(key, n));

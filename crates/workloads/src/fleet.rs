@@ -30,7 +30,7 @@ use enoki_sim::behavior::{Op, ProgramBehavior};
 use enoki_sim::cluster::{Shard, WireMsg};
 use enoki_sim::rng::SmallRng;
 use enoki_sim::task::TaskState;
-use enoki_sim::{CostModel, Machine, Ns, Pid, SimError, TaskSpec, Topology};
+use enoki_sim::{CostModel, Fnv1a, Machine, Ns, Pid, SimError, TaskSpec, Topology};
 use std::rc::Rc;
 
 /// `WireMsg::kind`: a chain step migrating to another machine.
@@ -161,17 +161,6 @@ pub struct FleetOutput {
     pub kicks: u64,
     /// Simulation events processed.
     pub events: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl FleetShard {
@@ -424,23 +413,24 @@ impl Shard for FleetShard {
     }
 
     fn finish(self) -> FleetOutput {
-        let mut digest = FNV_OFFSET;
+        let mut digest = Fnv1a::new();
         let mut stats = enoki_sim::stats::MachineStats::new(self.spec.cores_per_machine);
         let mut events = 0;
         for fm in &self.machines {
-            digest = fnv(digest, fm.global as u64);
-            digest = fnv(digest, fm.machine.nr_tasks() as u64);
-            digest = fnv(digest, fm.machine.events_processed());
-            digest = fnv(digest, fm.machine.now().as_nanos());
+            digest.u64(fm.global as u64);
+            digest.u64(fm.machine.nr_tasks() as u64);
+            digest.u64(fm.machine.events_processed());
+            digest.u64(fm.machine.now().as_nanos());
             let s = fm.machine.stats();
-            digest = fnv(digest, s.nr_context_switches);
-            digest = fnv(digest, s.nr_ipis);
-            digest = fnv(digest, s.nr_externals);
+            digest.u64(s.nr_context_switches);
+            digest.u64(s.nr_ipis);
+            digest.u64(s.nr_externals);
             if let Some(t) = fm.machine.tracer() {
-                digest = fnv(digest, t.dropped());
+                digest.u64(t.dropped());
                 for ev in t.events() {
                     let (a, b) = trace_words(ev);
-                    digest = fnv(fnv(digest, a), b);
+                    digest.u64(a);
+                    digest.u64(b);
                 }
             }
             stats.merge(s);
@@ -448,7 +438,7 @@ impl Shard for FleetShard {
         }
         FleetOutput {
             shard: self.id,
-            digest,
+            digest: digest.finish(),
             stats,
             completed: self.completed,
             spawned: self.spawned,
@@ -485,7 +475,11 @@ pub fn factory(
 
 /// Folds per-shard digests into one fleet digest (shard order).
 pub fn fleet_digest(outputs: &[FleetOutput]) -> u64 {
-    outputs.iter().fold(FNV_OFFSET, |h, o| fnv(h, o.digest))
+    let mut h = Fnv1a::new();
+    for o in outputs {
+        h.u64(o.digest);
+    }
+    h.finish()
 }
 
 #[cfg(test)]

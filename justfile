@@ -3,7 +3,7 @@
 default: ci
 
 # Everything CI runs, in CI's order.
-ci: build test bench-smoke lint
+ci: build test bench-smoke one-of-each lint
 
 build:
     cargo build --release
@@ -13,6 +13,11 @@ test:
 
 lint:
     cargo clippy --all-targets -- -D warnings
+
+# One FNV-1a, one pick call/return pairing, one JSON escaper: fails when
+# a second copy of any of them appears in crates/, tests/ or examples/.
+one-of-each:
+    sh tools/one-of-each.sh
 
 # Criterion-style microbenchmarks (includes the metrics-overhead gate).
 bench:

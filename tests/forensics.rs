@@ -3,8 +3,11 @@
 //! `enoki_replay::cli`, so no binaries are spawned). Record/replay mode is
 //! process-global, so the tests serialize on one mutex.
 
+use enoki::core::flight::fnv1a;
+use enoki::core::json;
 use enoki::core::metrics::export::validate_json;
 use enoki::core::record;
+use enoki::core::tracing::{SpanGraph, SpanKind};
 use enoki::core::EnokiClass;
 use enoki::replay::{cli, load_log, start_recording, stop_recording, ReplayOptions};
 use enoki::sched::Wfq;
@@ -80,6 +83,10 @@ fn enoki_log_subcommands_smoke() {
     assert!(lat.contains("runq-delay p50/p99/max"), "{lat}");
     let report = enoki::core::forensics::attribute_latency(&log);
     assert!(!report.tasks.is_empty());
+    // Golden pin, computed at the commit before `lat` became a view over
+    // the span graph: the run is deterministic virtual time, so the
+    // rendered report must not move by a byte.
+    assert_eq!(fnv1a(lat.as_bytes()), 0xaa45_5787_db30_aa15, "{lat}");
     assert!(
         report
             .tasks
@@ -111,6 +118,24 @@ fn enoki_log_subcommands_smoke() {
     assert!(doc.contains(r#""ph":"X""#), "spans missing");
     assert!(doc.contains(r#""ph":"C""#), "counter tracks missing");
     assert!(doc.contains(r#""name":"runnable""#), "runnable counter missing");
+    // The export's slices are the span graph's: on every lane the "X"
+    // durations (µs, printed to the nanosecond) add up to the graph's
+    // on-cpu time for that cpu.
+    let parsed = json::parse(&doc).expect("validated above");
+    let mut lanes = std::collections::BTreeMap::<i64, u64>::new();
+    for e in parsed.get("traceEvents").and_then(|e| e.as_arr()).expect("events") {
+        if e.get("ph").and_then(|p| p.as_str()) == Some("X") {
+            let lane = e.get("tid").and_then(|t| t.as_i64()).expect("lane");
+            let us = e.get("dur").and_then(|d| d.as_num()).expect("dur");
+            *lanes.entry(lane).or_default() += (us * 1000.0).round() as u64;
+        }
+    }
+    let mut cpus = std::collections::BTreeMap::<i64, u64>::new();
+    for s in SpanGraph::build(&log).spans.iter().filter(|s| s.kind == SpanKind::Running) {
+        *cpus.entry(s.cpu as i64).or_default() += s.dur();
+    }
+    assert!(lanes.len() > 1, "{lanes:?}");
+    assert_eq!(lanes, cpus, "lane totals must be the graph's per-cpu on-cpu time");
 
     std::fs::remove_file(&path).ok();
 }

@@ -6,21 +6,12 @@
 //! dispatch, ticks, sleeps, IPC, migrations — by hashing the schedviz
 //! trace of complete runs.
 
+use enoki::core::flight::fnv1a;
 use enoki::core::metrics::export;
 use enoki::sim::behavior::{Op, ProgramBehavior};
 use enoki::sim::rng::SmallRng;
 use enoki::sim::{CostModel, Ns, TaskSpec, Topology};
 use enoki::workloads::testbed::{build, BedOptions, SchedKind, TestBed};
-
-/// FNV-1a over the rendered trace: a stable, dependency-free fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A seed-derived scene mixing every event source the machine has:
 /// compute bursts, sleeps (timer events), pipe IPC, staggered arrivals,

@@ -7,6 +7,7 @@
 //! Record/replay mode is process-global, so every test here serializes
 //! on one mutex (same discipline as `tests/record_replay.rs`).
 
+use enoki::core::flight::fnv1a;
 use enoki::core::health::{HealthConfig, Watchdog};
 use enoki::core::metrics::export;
 use enoki::core::record::{self, Rec};
@@ -25,16 +26,6 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("enoki-it-meta-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     dir.join(name)
-}
-
-/// FNV-1a over the rendered trace (same fingerprint as `hotpaths.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Builds the arsenal meta-machine and spawns a two-act mix that drives

@@ -9,6 +9,8 @@
 //! Record/replay mode is process-global, so every test serializes on
 //! one mutex (same discipline as `tests/record_replay.rs`).
 
+use enoki::core::flight::fnv1a;
+use enoki::core::forensics::attribute_latency;
 use enoki::core::record::{self, Rec};
 use enoki::core::tracing::{profile, set_decision_trace, SpanGraph};
 use enoki::core::{BuiltMachine, EnokiScheduler, MachineBuilder, Switchable};
@@ -209,12 +211,17 @@ fn span_graph_hash_is_identical_across_reruns() {
         let path = tmp(name);
         let log = record_mix(&path);
         let g = SpanGraph::build(&log);
-        (g.graph_hash(), g.spans.len(), g.edges.len(), g.decisions.len())
+        let lat = attribute_latency(&log).render();
+        (g.graph_hash(), g.spans.len(), g.edges.len(), g.decisions.len(), fnv1a(lat.as_bytes()))
     };
     let a = run("rerun-a.log");
     let b = run("rerun-b.log");
     assert!(a.3 > 0, "decision stream must be non-empty");
     assert_eq!(a, b, "span graphs diverged across identical runs");
+    // Golden pin for the latency view over this graph (a 70 ms cut of a
+    // policy-switching run, so slices are open at the end), computed at
+    // the commit before `attribute_latency` became a view.
+    assert_eq!(a.4, 0x1215_ce17_4273_a4d3, "latency report moved");
 }
 
 /// The `MachineBuilder::decision_trace(false)` escape hatch (and the

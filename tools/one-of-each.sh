@@ -1,0 +1,29 @@
+#!/bin/sh
+# One of each: the FNV-1a constants, the pick call/return pairing and the
+# JSON string escaper each live in exactly one place (enoki_sim::fnv,
+# SpanGraph::build, enoki_core::json). Fails when a copy grows back.
+# Run from the repo root: `just one-of-each` (also a CI step).
+set -u
+fail=0
+
+fnv=$(grep -rn --include='*.rs' 'cbf2_9ce4_8422_2325' crates tests examples)
+if [ "$(printf '%s\n' "$fnv" | grep -c .)" -ne 1 ]; then
+    echo "one-of-each: the FNV-1a offset basis must appear on exactly one line (enoki_sim::fnv):"
+    printf '%s\n' "$fnv"
+    fail=1
+fi
+
+picks=$(grep -rn --include='*.rs' 'let mut pending_pick' crates)
+if [ "$(printf '%s\n' "$picks" | grep -c .)" -ne 1 ]; then
+    echo "one-of-each: pick call/return pairing must be bound in exactly one function (SpanGraph::build):"
+    printf '%s\n' "$picks"
+    fail=1
+fi
+
+if grep -rn --include='*.rs' 'fn json_str\|fn json_string\|fn json_escape\|fn push_json_str' crates tests examples; then
+    echo "one-of-each: private JSON escapers are back; use enoki_core::json::escape_into"
+    fail=1
+fi
+
+[ "$fail" -eq 0 ] && echo "one-of-each: ok"
+exit "$fail"

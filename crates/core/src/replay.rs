@@ -284,24 +284,41 @@ fn newest_epoch(log: &[Rec]) -> (&[Rec], u64) {
     (&log[marker + 1..], seed)
 }
 
-/// Replays a record log against a fresh instance of the same scheduler,
-/// with default [`ReplayOptions`].
-///
-/// `make` is called (after lock-id reset) to build the scheduler exactly as
-/// the recorded kernel module was built; `nr_cpus` must match the recorded
-/// machine. One real thread is spawned per recorded kernel thread; shim
-/// locks enforce the recorded acquisition order across them.
+/// [`replay_on`] a one-node machine of `nr_cpus` cpus, with default
+/// [`ReplayOptions`].
 pub fn replay<S, F>(log: &[Rec], nr_cpus: usize, make: F) -> ReplayReport
 where
     S: EnokiScheduler + 'static,
     S::UserMsg: From<enoki_sim::HintVal>,
     F: FnOnce() -> S,
 {
-    replay_with(log, nr_cpus, ReplayOptions::default(), make)
+    replay_on(
+        log,
+        &Topology::new(nr_cpus.max(1), 1),
+        ReplayOptions::default(),
+        make,
+    )
 }
 
-/// [`replay`] with explicit coordinator options.
+/// [`replay_on`] a one-node machine of `nr_cpus` cpus.
 pub fn replay_with<S, F>(log: &[Rec], nr_cpus: usize, opts: ReplayOptions, make: F) -> ReplayReport
+where
+    S: EnokiScheduler + 'static,
+    S::UserMsg: From<enoki_sim::HintVal>,
+    F: FnOnce() -> S,
+{
+    replay_on(log, &Topology::new(nr_cpus.max(1), 1), opts, make)
+}
+
+/// Replays a record log against a fresh instance of the same scheduler.
+///
+/// `make` is called (after lock-id reset) to build the scheduler exactly as
+/// the recorded kernel module was built, and `topo` must be the recorded
+/// machine's topology: a NUMA-aware policy reads `node_of` in its
+/// decisions, so replaying a two-node log on one node diverges. One real
+/// thread is spawned per recorded kernel thread; shim locks enforce the
+/// recorded acquisition order across them.
+pub fn replay_on<S, F>(log: &[Rec], topo: &Topology, opts: ReplayOptions, make: F) -> ReplayReport
 where
     S: EnokiScheduler + 'static,
     S::UserMsg: From<enoki_sim::HintVal>,
@@ -435,7 +452,7 @@ where
             let div = seeds.clone();
             scope.spawn(move || {
                 record::set_tid(tid);
-                let topo = std::rc::Rc::new(Topology::new(nr_cpus.max(1), 1));
+                let topo = std::rc::Rc::new(topo.clone());
                 for ev in stream {
                     match ev {
                         ThreadEvent::Call { skip: true, .. } => {}

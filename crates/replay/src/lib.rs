@@ -19,7 +19,9 @@
 
 use enoki_core::api::EnokiScheduler;
 use enoki_core::record::{self, parse_log, ParsedLog, RecordWriter, Recorder};
-pub use enoki_core::replay::{replay, replay_with, ReplayCoordinator, ReplayOptions, ReplayReport};
+pub use enoki_core::replay::{
+    replay, replay_on, replay_with, ReplayCoordinator, ReplayOptions, ReplayReport,
+};
 use std::fs::File;
 use std::path::Path;
 

@@ -15,6 +15,16 @@
 //! - newly idle cores pull from the busiest core, preferring their own
 //!   node and requiring a threshold imbalance to cross nodes;
 //! - periodic balancing evens out run-queue lengths.
+//!
+//! All per-core vruntime trees and the per-task bookkeeping sit under *one*
+//! shim lock, taken exactly once per callback. Placement and balancing read
+//! every core's queue length or load; Linux does that with lockless
+//! `READ_ONCE` scans and the paper with per-core locks, but here a read
+//! outside a shim lock is an unrecorded read that replay cannot reproduce
+//! (lock order is the only nondeterminism the log captures, §3.4), and a
+//! per-core lock per read made those scans 80 lock round trips a call on
+//! the two-socket machine. One lock keeps every read recorded and makes a
+//! scan a walk over plain fields.
 
 use crate::fair::{scale_vruntime, Current, Entity, FairRq, WAKEUP_GRANULARITY};
 use enoki_core::metrics::{EventKind, SchedulerMetrics};
@@ -48,37 +58,24 @@ pub struct CfsTransfer {
     meta: HashMap<Pid, Meta>,
 }
 
-/// The CFS-like scheduler.
-pub struct Cfs {
-    rqs: Vec<Mutex<FairRq>>,
-    meta: Mutex<HashMap<Pid, Meta>>,
-    /// Metrics handle attached by the dispatch layer.
-    metrics: OnceLock<Arc<SchedulerMetrics>>,
+/// Everything CFS knows, guarded by its one lock.
+struct State {
+    /// One vruntime tree per core.
+    rqs: Vec<FairRq>,
+    /// Per-task vruntime, weight and home cpu.
+    meta: HashMap<Pid, Meta>,
 }
 
-impl Cfs {
-
-    /// Counts one enqueue on `cpu` if a metrics handle is attached.
-    fn note_enqueue(&self, cpu: usize) {
-        if let Some(m) = self.metrics.get() {
-            m.count(EventKind::Enqueues, cpu);
-        }
-    }
-    /// Policy number registered for CFS.
-    pub const POLICY: i32 = 0;
-
-    /// Creates a CFS instance for `nr_cpus` cores.
-    pub fn new(nr_cpus: usize) -> Cfs {
-        Cfs {
-            metrics: OnceLock::new(),
-            rqs: (0..nr_cpus).map(|_| Mutex::new(FairRq::new())).collect(),
-            meta: Mutex::new(HashMap::new()),
+impl State {
+    fn new(nr_cpus: usize) -> State {
+        State {
+            rqs: (0..nr_cpus).map(|_| FairRq::new()).collect(),
+            meta: HashMap::new(),
         }
     }
 
-    fn update_vruntime(&self, t: &TaskInfo) -> u64 {
-        let mut meta = self.meta.lock();
-        let m = meta.entry(t.pid).or_insert(Meta {
+    fn update_vruntime(&mut self, t: &TaskInfo) -> u64 {
+        let m = self.meta.entry(t.pid).or_insert(Meta {
             vruntime: 0,
             last_total: Ns::ZERO,
             weight: t.weight,
@@ -91,19 +88,43 @@ impl Cfs {
         m.vruntime
     }
 
-    fn rq_len(&self, cpu: CpuId) -> usize {
-        self.rqs[cpu].lock().nr_running()
-    }
-
-    fn rq_load(&self, cpu: CpuId) -> u64 {
-        self.rqs[cpu].lock().total_load()
+    /// Whether `cpu` has nothing queued and nothing running.
+    fn idle(&self, cpu: CpuId) -> bool {
+        self.rqs[cpu].nr_running() == 0
     }
 
     fn idlest_in(&self, t: &TaskInfo, cpus: impl Iterator<Item = CpuId>) -> Option<CpuId> {
         cpus.filter(|&c| t.affinity.contains(c))
-            .map(|c| (self.rq_load(c), c))
+            .map(|c| (self.rqs[c].total_load(), c))
             .min()
             .map(|(_, c)| c)
+    }
+}
+
+/// The CFS-like scheduler.
+pub struct Cfs {
+    state: Mutex<State>,
+    /// Metrics handle attached by the dispatch layer.
+    metrics: OnceLock<Arc<SchedulerMetrics>>,
+}
+
+impl Cfs {
+    /// Policy number registered for CFS.
+    pub const POLICY: i32 = 0;
+
+    /// Creates a CFS instance for `nr_cpus` cores.
+    pub fn new(nr_cpus: usize) -> Cfs {
+        Cfs {
+            metrics: OnceLock::new(),
+            state: Mutex::new(State::new(nr_cpus)),
+        }
+    }
+
+    /// Counts one enqueue on `cpu` if a metrics handle is attached.
+    fn note_enqueue(&self, cpu: usize) {
+        if let Some(m) = self.metrics.get() {
+            m.count(EventKind::Enqueues, cpu);
+        }
     }
 }
 
@@ -127,58 +148,59 @@ impl EnokiScheduler for Cfs {
         flags: WakeFlags,
     ) -> CpuId {
         let topo = ctx.topology();
+        let st = self.state.lock();
         if flags.fork {
             // Spread forks machine-wide.
-            return self.idlest_in(t, 0..self.rqs.len()).unwrap_or(prev);
+            return st.idlest_in(t, 0..st.rqs.len()).unwrap_or(prev);
         }
+        let last = st.rqs.len() - 1;
         // wake_affine + select_idle_sibling: a sync wake targets the
         // waker's cache domain, but prefers an *idle* cpu there (Linux
         // only stacks the wakee on the waker when nothing idle is close).
         if flags.sync {
             if let Some(w) = flags.waker {
-                let node = topo.node_of(w.min(self.rqs.len() - 1));
+                let node = topo.node_of(w.min(last));
                 if t.affinity.contains(prev)
-                    && topo.node_of(prev.min(self.rqs.len() - 1)) == node
-                    && self.rq_len(prev) == 0
+                    && topo.node_of(prev.min(last)) == node
+                    && st.idle(prev)
                 {
                     return prev;
                 }
                 if let Some(idle) = topo
                     .cpus_of_node(node)
                     .iter()
-                    .find(|&c| t.affinity.contains(c) && self.rq_len(c) == 0)
+                    .find(|&c| t.affinity.contains(c) && st.idle(c))
                 {
                     return idle;
                 }
-                if t.affinity.contains(w) && self.rq_len(w) <= 1 {
+                if t.affinity.contains(w) && st.rqs[w].nr_running() <= 1 {
                     return w;
                 }
             }
         }
         // Previous cpu if it is idle (cache-hot and free).
-        if t.affinity.contains(prev) && self.rq_len(prev) == 0 {
+        if t.affinity.contains(prev) && st.idle(prev) {
             return prev;
         }
         // Idlest cpu on the previous cpu's node; fall back machine-wide.
-        let node = topo.node_of(prev.min(self.rqs.len() - 1));
-        let local = self.idlest_in(t, topo.cpus_of_node(node).iter());
+        let node = topo.node_of(prev.min(last));
+        let local = st.idlest_in(t, topo.cpus_of_node(node).iter());
         match local {
-            Some(c) if self.rq_len(c) == 0 => c,
-            _ => self
-                .idlest_in(t, 0..self.rqs.len())
-                .or(local)
-                .unwrap_or(prev),
+            Some(c) if st.idle(c) => c,
+            _ => st.idlest_in(t, 0..st.rqs.len()).or(local).unwrap_or(prev),
         }
     }
 
     fn task_new(&self, _ctx: &SchedCtx<'_>, t: &TaskInfo, sched: Schedulable) {
         self.note_enqueue(sched.cpu());
         let cpu = sched.cpu();
-        let mut rq = self.rqs[cpu].lock();
+        let mut st = self.state.lock();
+        let State { rqs, meta } = &mut *st;
+        let rq = &mut rqs[cpu];
         // New tasks start at the queue floor and run at the end of the
         // current period (no fork preemption).
         let vruntime = rq.min_vruntime;
-        self.meta.lock().insert(
+        meta.insert(
             t.pid,
             Meta {
                 vruntime,
@@ -197,20 +219,19 @@ impl EnokiScheduler for Cfs {
     fn task_wakeup(&self, ctx: &SchedCtx<'_>, t: &TaskInfo, _flags: WakeFlags, sched: Schedulable) {
         self.note_enqueue(sched.cpu());
         let cpu = sched.cpu();
-        let mut rq = self.rqs[cpu].lock();
-        let vruntime = {
-            let mut meta = self.meta.lock();
-            let m = meta.entry(t.pid).or_insert(Meta {
-                vruntime: rq.min_vruntime,
-                last_total: t.runtime,
-                weight: t.weight,
-                cpu,
-            });
-            m.vruntime = rq.place_woken(m.vruntime);
-            m.last_total = t.runtime;
-            m.cpu = cpu;
-            m.vruntime
-        };
+        let mut st = self.state.lock();
+        let State { rqs, meta } = &mut *st;
+        let rq = &mut rqs[cpu];
+        let m = meta.entry(t.pid).or_insert(Meta {
+            vruntime: rq.min_vruntime,
+            last_total: t.runtime,
+            weight: t.weight,
+            cpu,
+        });
+        m.vruntime = rq.place_woken(m.vruntime);
+        m.last_total = t.runtime;
+        m.cpu = cpu;
+        let vruntime = m.vruntime;
         rq.enqueue(Entity {
             sched,
             vruntime,
@@ -224,8 +245,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_blocked(&self, _ctx: &SchedCtx<'_>, t: &TaskInfo) {
-        let _ = self.update_vruntime(t);
-        let mut rq = self.rqs[t.cpu].lock();
+        let mut st = self.state.lock();
+        st.update_vruntime(t);
+        let rq = &mut st.rqs[t.cpu];
         if rq.current.is_some_and(|c| c.pid == t.pid) {
             rq.current = None;
         } else if rq.contains(t.pid) {
@@ -235,8 +257,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_preempt(&self, _ctx: &SchedCtx<'_>, t: &TaskInfo, sched: Schedulable) {
-        let vruntime = self.update_vruntime(t);
-        let mut rq = self.rqs[t.cpu].lock();
+        let mut st = self.state.lock();
+        let vruntime = st.update_vruntime(t);
+        let rq = &mut st.rqs[t.cpu];
         if rq.current.is_some_and(|c| c.pid == t.pid) {
             rq.current = None;
         }
@@ -253,9 +276,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_dead(&self, _ctx: &SchedCtx<'_>, pid: Pid) {
-        self.meta.lock().remove(&pid);
-        for rq in &self.rqs {
-            let mut rq = rq.lock();
+        let mut st = self.state.lock();
+        st.meta.remove(&pid);
+        for rq in &mut st.rqs {
             if rq.current.is_some_and(|c| c.pid == pid) {
                 rq.current = None;
             }
@@ -263,9 +286,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_departed(&self, _ctx: &SchedCtx<'_>, t: &TaskInfo) -> Option<Schedulable> {
-        let cpu = self.meta.lock().get(&t.pid).map_or(t.cpu, |m| m.cpu);
-        self.meta.lock().remove(&t.pid);
-        let mut rq = self.rqs[cpu].lock();
+        let mut st = self.state.lock();
+        let cpu = st.meta.remove(&t.pid).map_or(t.cpu, |m| m.cpu);
+        let rq = &mut st.rqs[cpu];
         if rq.current.is_some_and(|c| c.pid == t.pid) {
             rq.current = None;
         }
@@ -273,17 +296,13 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_prio_changed(&self, _ctx: &SchedCtx<'_>, t: &TaskInfo) {
-        let cpu = {
-            let mut meta = self.meta.lock();
-            match meta.get_mut(&t.pid) {
-                Some(m) => {
-                    m.weight = t.weight;
-                    m.cpu
-                }
-                None => return,
-            }
+        let mut st = self.state.lock();
+        let Some(m) = st.meta.get_mut(&t.pid) else {
+            return;
         };
-        let mut rq = self.rqs[cpu].lock();
+        m.weight = t.weight;
+        let cpu = m.cpu;
+        let rq = &mut st.rqs[cpu];
         if let Some(mut e) = rq.remove(t.pid) {
             e.weight = t.weight;
             rq.enqueue(e);
@@ -295,8 +314,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn task_tick(&self, ctx: &SchedCtx<'_>, cpu: CpuId, t: &TaskInfo) {
-        let vruntime = self.update_vruntime(t);
-        let mut rq = self.rqs[cpu].lock();
+        let mut st = self.state.lock();
+        let vruntime = st.update_vruntime(t);
+        let rq = &mut st.rqs[cpu];
         let slice = rq.slice();
         if let Some(c) = rq.current.as_mut() {
             if c.pid == t.pid {
@@ -322,7 +342,8 @@ impl EnokiScheduler for Cfs {
         cpu: CpuId,
         _curr: Option<Schedulable>,
     ) -> Option<Schedulable> {
-        let mut rq = self.rqs[cpu].lock();
+        let mut st = self.state.lock();
+        let rq = &mut st.rqs[cpu];
         rq.update_min();
         let candidates = rq.nr_queued();
         let Some(e) = rq.pop_leftmost() else {
@@ -351,37 +372,32 @@ impl EnokiScheduler for Cfs {
         _err: SchedError,
         sched: Option<Schedulable>,
     ) {
+        let mut st = self.state.lock();
         if let Some(s) = sched {
             let home = s.cpu();
-            let (vruntime, weight) = {
-                let meta = self.meta.lock();
-                meta.get(&s.pid())
-                    .map_or((0, 1024), |m| (m.vruntime, m.weight))
-            };
-            self.rqs[home].lock().enqueue(Entity {
+            let (vruntime, weight) = st
+                .meta
+                .get(&s.pid())
+                .map_or((0, 1024), |m| (m.vruntime, m.weight));
+            st.rqs[home].enqueue(Entity {
                 sched: s,
                 vruntime,
                 weight,
             });
         }
-        self.rqs[cpu].lock().current = None;
+        st.rqs[cpu].current = None;
     }
 
     fn balance(&self, ctx: &SchedCtx<'_>, cpu: CpuId) -> Option<u64> {
         let topo = ctx.topology();
-        let my_len = self.rq_len(cpu);
+        let st = self.state.lock();
+        let my_len = st.rqs[cpu].nr_running();
         let my_node = topo.node_of(cpu);
 
         let mut best: Option<(usize, CpuId)> = None;
-        for other in 0..self.rqs.len() {
-            if other == cpu {
-                continue;
-            }
-            let len = {
-                let rq = self.rqs[other].lock();
-                rq.nr_queued()
-            };
-            if len == 0 {
+        for (other, rq) in st.rqs.iter().enumerate() {
+            let len = rq.nr_queued();
+            if other == cpu || len == 0 {
                 continue;
             }
             let same_node = topo.node_of(other) == my_node;
@@ -405,7 +421,7 @@ impl EnokiScheduler for Cfs {
             }
         }
         let (_, victim) = best?;
-        self.rqs[victim].lock().rightmost_pid().map(|p| p as u64)
+        st.rqs[victim].rightmost_pid().map(|p| p as u64)
     }
 
     fn migrate_task_rq(
@@ -415,37 +431,30 @@ impl EnokiScheduler for Cfs {
         new: Schedulable,
     ) -> Option<Schedulable> {
         let to = new.cpu();
+        let mut st = self.state.lock();
+        let State { rqs, meta } = &mut *st;
         // Locate the entity wherever it is actually queued (the meta cpu
         // is only a hint); the entity's vruntime is authoritative and is
         // in its own queue's frame.
-        let mut removed: Option<(Entity, u64)> = None;
-        for rq in &self.rqs {
-            let mut rq = rq.lock();
-            if let Some(e) = rq.remove(t.pid) {
-                let from_min = rq.min_vruntime;
-                removed = Some((e, from_min));
-                break;
-            }
-        }
-        let weight = self.meta.lock().get(&t.pid).map_or(t.weight, |m| m.weight);
-        let mut to_rq = self.rqs[to].lock();
+        let removed = rqs
+            .iter_mut()
+            .find_map(|rq| rq.remove(t.pid).map(|e| (e, rq.min_vruntime)));
+        let weight = meta.get(&t.pid).map_or(t.weight, |m| m.weight);
+        let to_rq = &mut rqs[to];
         let adjusted = match &removed {
             Some((e, from_min)) => {
                 crate::fair::rebase_vruntime(e.vruntime, *from_min, to_rq.min_vruntime)
             }
             None => to_rq.min_vruntime,
         };
-        {
-            let mut meta = self.meta.lock();
-            let m = meta.entry(t.pid).or_insert(Meta {
-                vruntime: adjusted,
-                last_total: t.runtime,
-                weight,
-                cpu: to,
-            });
-            m.cpu = to;
-            m.vruntime = adjusted;
-        }
+        let m = meta.entry(t.pid).or_insert(Meta {
+            vruntime: adjusted,
+            last_total: t.runtime,
+            weight,
+            cpu: to,
+        });
+        m.cpu = to;
+        m.vruntime = adjusted;
         to_rq.enqueue(Entity {
             sched: new,
             vruntime: adjusted,
@@ -455,12 +464,9 @@ impl EnokiScheduler for Cfs {
     }
 
     fn reregister_prepare(&mut self) -> Option<TransferOut> {
-        let rqs = self
-            .rqs
-            .iter()
-            .map(|rq| std::mem::take(&mut *rq.lock()))
-            .collect();
-        let meta = std::mem::take(&mut *self.meta.lock());
+        let mut st = self.state.lock();
+        let nr_cpus = st.rqs.len();
+        let State { rqs, meta } = std::mem::replace(&mut *st, State::new(nr_cpus));
         Some(Box::new(CfsTransfer { rqs, meta }))
     }
 
@@ -470,10 +476,11 @@ impl EnokiScheduler for Cfs {
             return;
         };
         let t = *t;
-        for (slot, rq) in self.rqs.iter().zip(t.rqs) {
-            *slot.lock() = rq;
+        let mut st = self.state.lock();
+        for (slot, rq) in st.rqs.iter_mut().zip(t.rqs) {
+            *slot = rq;
         }
-        *self.meta.lock() = t.meta;
+        st.meta = t.meta;
     }
 }
 

@@ -156,15 +156,15 @@ impl Topology {
         self.node_of(a) == self.node_of(b)
     }
 
-    /// The cpus belonging to a NUMA node.
+    /// The cpus belonging to a NUMA node (empty for a node that does not
+    /// exist). Nodes are contiguous blocks of cpus (see [`Topology::new`]),
+    /// so this is one shifted mask.
     pub fn cpus_of_node(&self, node: usize) -> CpuSet {
-        CpuSet::from_iter(
-            self.node_of
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n == node)
-                .map(|(c, _)| c),
-        )
+        if node >= self.nr_nodes {
+            return CpuSet::empty();
+        }
+        let per_node = self.nr_cpus() / self.nr_nodes;
+        CpuSet::from_mask(CpuSet::all(per_node).mask() << (node * per_node))
     }
 
     /// All cpus of the machine.
@@ -216,6 +216,23 @@ mod tests {
         assert!(t.same_node(0, 39));
         assert!(!t.same_node(39, 40));
         assert_eq!(t.cpus_of_node(0).count(), 40);
+    }
+
+    #[test]
+    fn cpus_of_node_matches_node_of() {
+        for t in [
+            Topology::i7_9700(),
+            Topology::xeon_6138_2s(),
+            Topology::new(8, 4),
+        ] {
+            for node in 0..t.nr_nodes() {
+                let filtered =
+                    CpuSet::from_iter((0..t.nr_cpus()).filter(|&c| t.node_of(c) == node));
+                assert_eq!(t.cpus_of_node(node), filtered, "node {node} of {t:?}");
+            }
+            assert_eq!(t.cpus_of_node(t.nr_nodes()), CpuSet::empty());
+        }
+        assert_eq!(Topology::new(128, 1).cpus_of_node(0), CpuSet::all(128));
     }
 
     #[test]

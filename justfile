@@ -43,6 +43,12 @@ bench-gate:
 bench-smoke:
     benchmark/run.sh --quick
 
+# Alternating paired runs of one workload, <rev> against the working tree
+# (seeds 1..pairs): per-pair rows for the four end-to-end metrics, each
+# side's median and quartiles, the change's wins and failed totals.
+bench-pairs rev workload pairs="10" seconds="15":
+    tools/bench-pairs.sh {{rev}} {{workload}} {{pairs}} {{seconds}}
+
 # Native userspace backend: the same unmodified policy structs scheduling
 # real OS threads through the same dispatch layer (tests/native.rs), plus
 # the KernelFacilities contract suite run against both substrates

@@ -63,24 +63,24 @@ fn spawn_random_scene(bed: &mut TestBed, seed: u64) {
 /// count, context switches): the trace hash covers per-cpu spans and
 /// migrations with timestamps, so any divergence in event ordering
 /// between queue implementations lands in it.
-fn run_scene(kind: SchedKind, seed: u64, reference_queue: bool) -> (u64, usize, u64) {
-    let mut bed = build(
-        Topology::i7_9700(),
-        CostModel::calibrated(),
-        kind,
-        BedOptions::default(),
-    );
+fn run_scene(
+    topo: Topology,
+    kind: SchedKind,
+    seed: u64,
+    reference_queue: bool,
+) -> (u64, usize, u64) {
+    let nr_cpus = topo.nr_cpus();
+    let mut bed = build(topo, CostModel::calibrated(), kind, BedOptions::default());
     if reference_queue {
         bed.machine.use_reference_event_queue();
     }
-    bed.machine.enable_trace(1 << 16);
+    bed.machine.enable_trace(1 << 18);
     spawn_random_scene(&mut bed, seed);
     assert!(bed
         .machine
         .run_to_completion(Ns::from_secs(2))
         .expect("no kernel panic"));
     let tracer = bed.machine.tracer().expect("tracing armed");
-    let nr_cpus = bed.machine.topology().nr_cpus();
     let json = export::chrome_trace_from_sim(tracer, nr_cpus, bed.machine.now());
     export::validate_json(&json).expect("trace JSON is valid");
     (
@@ -90,18 +90,61 @@ fn run_scene(kind: SchedKind, seed: u64, reference_queue: bool) -> (u64, usize, 
     )
 }
 
+const SEEDS: [u64; 3] = [7, 0xDEAD_BEEF, 31_337];
+
 #[test]
 fn timer_wheel_and_heap_produce_identical_schedviz_traces() {
-    for kind in [SchedKind::Wfq, SchedKind::Cfs] {
-        for seed in [7u64, 0xDEAD_BEEF, 31_337] {
-            let wheel = run_scene(kind, seed, false);
-            let heap = run_scene(kind, seed, true);
+    let cases = [
+        (Topology::i7_9700(), SchedKind::Wfq),
+        (Topology::i7_9700(), SchedKind::Cfs),
+        (Topology::xeon_6138_2s(), SchedKind::Cfs),
+    ];
+    for (topo, kind) in cases {
+        let cpus = topo.nr_cpus();
+        for seed in SEEDS {
+            let wheel = run_scene(topo.clone(), kind, seed, false);
+            let heap = run_scene(topo.clone(), kind, seed, true);
             assert_eq!(
                 wheel, heap,
-                "{kind:?} seed {seed}: (trace hash, events, ctx switches) diverged between wheel and heap"
+                "{kind:?}/{cpus} cpus seed {seed}: (trace hash, events, ctx switches) diverged between wheel and heap"
             );
-            assert!(wheel.1 > 0, "{kind:?} seed {seed}: empty trace proves nothing");
+            assert!(
+                wheel.1 > 0,
+                "{kind:?}/{cpus} cpus seed {seed}: empty trace proves nothing"
+            );
         }
+    }
+}
+
+/// Golden CFS schedules, one per seed in [`SEEDS`] order: (trace hash,
+/// traced events, context switches). On the two-node machine the NUMA
+/// branches of `select_task_rq` and `balance` run, so a change to how CFS
+/// reads its queues that moves any placement or steal decision moves a
+/// pin.
+const CFS_I7_9700: [(u64, usize, u64); 3] = [
+    (0xe6fb_be31_2017_b820, 447, 151),
+    (0x301a_094a_7c7a_c8b4, 629, 214),
+    (0x873e_af83_cbd1_5401, 477, 160),
+];
+const CFS_XEON_6138_2S: [(u64, usize, u64); 3] = [
+    (0x63ea_b7d7_fbf3_825a, 448, 149),
+    (0xf019_13b0_dd46_8de8, 628, 209),
+    (0x8315_9622_187d_5198, 477, 159),
+];
+
+#[test]
+fn cfs_schedules_match_golden_pins() {
+    for (topo, pins) in [
+        (Topology::i7_9700(), CFS_I7_9700),
+        (Topology::xeon_6138_2s(), CFS_XEON_6138_2S),
+    ] {
+        let cpus = topo.nr_cpus();
+        let got = SEEDS.map(|seed| run_scene(topo.clone(), SchedKind::Cfs, seed, false));
+        assert_eq!(
+            got, pins,
+            "CFS/{cpus} cpus, seeds {SEEDS:?}: got {:x?}",
+            got
+        );
     }
 }
 
@@ -110,7 +153,7 @@ fn timer_wheel_and_heap_produce_identical_schedviz_traces() {
 /// constants.
 #[test]
 fn trace_hash_is_seed_sensitive() {
-    let a = run_scene(SchedKind::Wfq, 1, false);
-    let b = run_scene(SchedKind::Wfq, 2, false);
+    let a = run_scene(Topology::i7_9700(), SchedKind::Wfq, 1, false);
+    let b = run_scene(Topology::i7_9700(), SchedKind::Wfq, 2, false);
     assert_ne!(a.0, b.0, "seeds 1 and 2 hashed identically");
 }

@@ -4,7 +4,8 @@
 
 use enoki::core::record;
 use enoki::core::EnokiClass;
-use enoki::replay::{replay_file, start_recording, stop_recording};
+use enoki::replay::{replay_file, replay_on, start_recording, stop_recording, ReplayOptions};
+use enoki::sched::cfs::native_cfs_class;
 use enoki::sched::locality::HINT_LOCALITY;
 use enoki::sched::{Cfs, Fifo, Locality, Shinjuku};
 use enoki::sim::behavior::{HintVal, Op, ProgramBehavior};
@@ -55,6 +56,72 @@ fn cfs_record_replay_is_faithful() {
     );
     assert_eq!(report.sequencing_timeouts, 0);
     assert!(report.calls > 200);
+}
+
+/// A CFS log from the two-node machine replays faithfully only on that
+/// machine's topology: `select_task_rq` and `balance` read `node_of`.
+#[test]
+fn two_node_cfs_replays_on_its_own_topology() {
+    let _g = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let path = tmp("cfs_xeon.log");
+    record::reset_lock_ids();
+    let mut m = Machine::new(Topology::xeon_6138_2s(), CostModel::calibrated());
+    m.add_class(Rc::new(native_cfs_class(80)));
+    let session = start_recording(&path, 1 << 20).expect("recorder");
+    let (ab, ba) = (m.create_pipe(), m.create_pipe());
+    m.spawn(TaskSpec::new(
+        "ping",
+        0,
+        Box::new(ProgramBehavior::repeat(
+            vec![Op::PipeWrite(ab), Op::PipeRead(ba)],
+            30,
+        )),
+    ));
+    m.spawn(TaskSpec::new(
+        "pong",
+        0,
+        Box::new(ProgramBehavior::repeat(
+            vec![Op::PipeRead(ab), Op::PipeWrite(ba)],
+            30,
+        )),
+    ));
+    for i in 0..100 {
+        m.spawn(TaskSpec::new(
+            format!("t{i}"),
+            0,
+            Box::new(ProgramBehavior::repeat(
+                vec![
+                    Op::Compute(Ns::from_us(200 + 10 * i)),
+                    Op::Sleep(Ns::from_us(100)),
+                ],
+                3,
+            )),
+        ));
+    }
+    m.run_to_completion(Ns::from_secs(10))
+        .expect("no kernel panic");
+    stop_recording(session).expect("flushed");
+
+    let log = enoki::replay::load_log(&path).expect("log parses");
+    let report = replay_on(
+        &log,
+        &Topology::xeon_6138_2s(),
+        ReplayOptions::default(),
+        || Cfs::new(80),
+    );
+    assert!(
+        report.faithful(),
+        "{} timeouts, {:?}",
+        report.sequencing_timeouts,
+        &report.divergences[..5.min(report.divergences.len())]
+    );
+    assert!(report.calls > 500, "replayed {} calls", report.calls);
+    // One shim lock per CFS callback: the whole policy state sits under
+    // one recorded lock.
+    assert_eq!(report.lock_acquires, report.calls);
+    // The same log on a one-node machine of the same size diverges.
+    let one_node = enoki::replay::replay(&log, 80, || Cfs::new(80));
+    assert!(!one_node.faithful(), "topology is invisible to this scene");
 }
 
 #[test]

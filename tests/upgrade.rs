@@ -2,8 +2,9 @@
 //! versions, queue survival, upgrades under load, and blackout bounds.
 
 use enoki::core::EnokiClass;
+use enoki::sched::cfs::native_cfs_class;
 use enoki::sched::locality::HINT_LOCALITY;
-use enoki::sched::{Locality, Shinjuku, Wfq};
+use enoki::sched::{Cfs, Locality, Shinjuku, Wfq};
 use enoki::sim::behavior::{HintVal, Op, ProgramBehavior};
 use enoki::sim::{CostModel, Machine, Ns, TaskSpec, Topology};
 use std::rc::Rc;
@@ -158,4 +159,61 @@ fn blackout_is_microseconds_even_on_big_machine() {
     // The paper measures ~10 µs on this machine; allow generous headroom
     // for CI noise but stay far below "reboot" territory.
     assert!(worst.as_micros() < 5_000, "blackout {worst:?}");
+}
+
+/// Per-task `(exited_at, preemptions, voluntary switches)` and the
+/// machine's context-switch total for 120 compute/sleep tasks under native
+/// CFS on the two-node machine, live-upgrading CFS to a fresh instance
+/// `upgrades` times, 1 ms apart.
+fn cfs_run_with_upgrades(upgrades: usize) -> (Vec<(Option<Ns>, u64, u64)>, u64) {
+    let mut m = Machine::new(Topology::xeon_6138_2s(), CostModel::calibrated());
+    let class = Rc::new(native_cfs_class(80));
+    m.add_class(class.clone());
+    let pids: Vec<usize> = (0..120)
+        .map(|i| {
+            m.spawn(TaskSpec::new(
+                format!("t{i}"),
+                0,
+                Box::new(ProgramBehavior::repeat(
+                    vec![
+                        Op::Compute(Ns::from_us(300 + 7 * i)),
+                        Op::Sleep(Ns::from_us(150)),
+                    ],
+                    8,
+                )),
+            ))
+        })
+        .collect();
+    for _ in 0..upgrades {
+        let next = m.now() + Ns::from_ms(1);
+        m.run_until(next).expect("no kernel panic");
+        let report = class.upgrade(Box::new(Cfs::new(80)));
+        assert!(report.transferred, "CFS must hand its queues over");
+    }
+    assert!(m
+        .run_to_completion(Ns::from_secs(10))
+        .expect("no kernel panic"));
+    assert_eq!(class.stats().upgrades, upgrades as u64);
+    let tasks = pids
+        .iter()
+        .map(|&p| {
+            let t = m.task(p);
+            (t.exited_at, t.nr_preemptions, t.nr_voluntary)
+        })
+        .collect();
+    (tasks, m.stats().nr_context_switches)
+}
+
+#[test]
+fn cfs_upgrades_keep_the_schedule() {
+    let (plain, switches) = cfs_run_with_upgrades(0);
+    assert!(plain.iter().all(|t| t.0.is_some()), "every task exits");
+    let (upgraded, upgraded_switches) = cfs_run_with_upgrades(5);
+    assert_eq!(upgraded_switches, switches, "context switches moved");
+    for (pid, (a, b)) in plain.iter().zip(&upgraded).enumerate() {
+        assert_eq!(
+            a, b,
+            "task {pid}: (exited_at, preemptions, voluntary) moved"
+        );
+    }
 }

@@ -25,20 +25,21 @@
 //!
 //! Arming is process-global, mirroring the [`crate::record`] mode
 //! switch: [`arm`] installs the ring (usually via
-//! [`crate::MachineBuilder::flight`]), [`disarm`] removes it. While
+//! [`crate::MachineBuilder::flight`]) and sets the flight bit of the
+//! record hook word, [`disarm`] clears it and removes the ring. While
 //! armed and not replaying, [`crate::record::recording`] reports true,
 //! so every existing emission site feeds the ring with no new hooks.
 
 use crate::health::Incident;
 use crate::json;
 use crate::metrics::{EventKind, SchedulerMetrics};
-use crate::record::Rec;
+use crate::record::{self, Rec};
 use crate::tracing::SpanGraph;
 use enoki_sim::{Machine, Ns};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Configuration of the flight recorder ring and its dump triggers.
@@ -173,8 +174,6 @@ struct FlightState {
     auto_dumps: AtomicU64,
 }
 
-/// Fast-path gate, read on every mirrored record.
-static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: RwLock<Option<Arc<FlightState>>> = RwLock::new(None);
 /// Bumped on every arm/disarm so [`mirror`]'s thread-local state cache
 /// knows when to refresh — the mirror hot path must not take the
@@ -217,20 +216,21 @@ pub fn arm(spec: FlightSpec, config: String, metrics: Option<Arc<SchedulerMetric
     *STATE.write().unwrap_or_else(PoisonError::into_inner) = Some(st);
     *LAST_DUMP.lock().unwrap_or_else(PoisonError::into_inner) = None;
     STATE_GEN.fetch_add(1, Ordering::Release);
-    ARMED.store(true, Ordering::Release);
+    record::set_flight_hook(true);
 }
 
 /// Disarms the flight recorder and drops the ring.
 pub fn disarm() {
-    ARMED.store(false, Ordering::Release);
+    record::set_flight_hook(false);
     *STATE.write().unwrap_or_else(PoisonError::into_inner) = None;
     STATE_GEN.fetch_add(1, Ordering::Release);
 }
 
-/// True while a flight ring is armed.
+/// True while a flight ring is armed (the flight bit of the hook word the
+/// [`crate::record::emit`] funnel reads).
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Acquire)
+    record::hooks() & record::HOOK_FLIGHT != 0
 }
 
 /// Mirrors one record into the ring (no-op when disarmed). Called from

@@ -1064,12 +1064,41 @@ pub trait LockSequencer: Send + Sync {
     fn released(&self, lock: u64, tid: u32);
 }
 
-const MODE_OFF: u8 = 0;
-const MODE_RECORD: u8 = 1;
-const MODE_REPLAY: u8 = 2;
+/// Hook-word bit: a file or sharded recorder is armed.
+const HOOK_RECORD: u8 = 1;
+/// Hook-word bit: a replay sequencer is armed (excludes [`HOOK_RECORD`]).
+pub(crate) const HOOK_REPLAY: u8 = 2;
+/// Hook-word bit: the flight ring is armed ([`crate::flight::arm`]).
+pub(crate) const HOOK_FLIGHT: u8 = 4;
 
-static MODE_TAG: AtomicU8 = AtomicU8::new(MODE_OFF);
+/// The one word every hook reads: which of record, replay and flight are
+/// armed. Zero means none is, and a shim lock then calls nothing here.
+static HOOKS: AtomicU8 = AtomicU8::new(0);
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The hook word, loaded once. Acquire pairs with the Release updates:
+/// the `enable_*` functions set a bit after writing [`GLOBAL`], and
+/// [`disable`] clears it before resetting `GLOBAL`.
+#[inline]
+pub(crate) fn hooks() -> u8 {
+    HOOKS.load(Ordering::Acquire)
+}
+
+/// Sets the record/replay bits to `mode`, keeping the flight bit.
+fn set_mode(mode: u8) {
+    let _ = HOOKS.fetch_update(Ordering::Release, Ordering::Relaxed, |h| {
+        Some((h & HOOK_FLIGHT) | mode)
+    });
+}
+
+/// Sets or clears the flight bit ([`crate::flight::arm`] / `disarm`).
+pub(crate) fn set_flight_hook(armed: bool) {
+    if armed {
+        HOOKS.fetch_or(HOOK_FLIGHT, Ordering::Release);
+    } else {
+        HOOKS.fetch_and(!HOOK_FLIGHT, Ordering::Release);
+    }
+}
 
 static GLOBAL: std::sync::RwLock<GlobalMode> = std::sync::RwLock::new(GlobalMode::Off);
 
@@ -1111,7 +1140,7 @@ pub fn current_tid() -> u32 {
 /// dispatch calls start emitting records.
 pub fn enable_record(recorder: Recorder) {
     *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Record(recorder);
-    MODE_TAG.store(MODE_RECORD, Ordering::Release);
+    set_mode(HOOK_RECORD);
 }
 
 /// Switches the process into **sharded** record mode: one recorder per
@@ -1129,7 +1158,7 @@ pub fn enable_record_sharded(recorders: Vec<Recorder>) {
             recorders,
             lock_ids,
         };
-    MODE_TAG.store(MODE_RECORD, Ordering::Release);
+    set_mode(HOOK_RECORD);
 }
 
 /// Binds the current thread to record stream `idx`: until cleared, every
@@ -1171,12 +1200,12 @@ pub fn mark_epoch(stream: u32, epoch: u64, at: u64) {
 /// Switches the process into replay mode with the given lock sequencer.
 pub fn enable_replay(seq: Arc<dyn LockSequencer>) {
     *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Replay(seq);
-    MODE_TAG.store(MODE_REPLAY, Ordering::Release);
+    set_mode(HOOK_REPLAY);
 }
 
 /// Turns record/replay off (the default).
 pub fn disable() {
-    MODE_TAG.store(MODE_OFF, Ordering::Release);
+    set_mode(0);
     *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Off;
 }
 
@@ -1184,8 +1213,8 @@ pub fn disable() {
 /// flight ring, or both. Replay always reports false: a replayed run
 /// must never re-emit the stream it is consuming.
 pub fn recording() -> bool {
-    let tag = MODE_TAG.load(Ordering::Acquire);
-    tag == MODE_RECORD || (tag != MODE_REPLAY && crate::flight::armed())
+    let h = hooks();
+    h & HOOK_RECORD != 0 || h & (HOOK_REPLAY | HOOK_FLIGHT) == HOOK_FLIGHT
 }
 
 /// Emits a record to every armed capture sink (cheap no-op otherwise).
@@ -1195,11 +1224,11 @@ pub fn recording() -> bool {
 /// funnel is what makes the black box see lock traffic, dispatch calls,
 /// hints, and decisions without any per-site changes.
 pub fn emit(rec: Rec) {
-    let tag = MODE_TAG.load(Ordering::Acquire);
-    if tag != MODE_REPLAY && crate::flight::armed() {
+    let h = hooks();
+    if h & (HOOK_REPLAY | HOOK_FLIGHT) == HOOK_FLIGHT {
         crate::flight::mirror(rec);
     }
-    if tag != MODE_RECORD {
+    if h & HOOK_RECORD == 0 {
         return;
     }
     match &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {
@@ -1219,7 +1248,7 @@ pub fn emit(rec: Rec) {
 /// Exposed so health polling can surface silent record loss instead of
 /// leaving it queryable-only.
 pub fn recorder_dropped() -> Option<u64> {
-    if MODE_TAG.load(Ordering::Acquire) != MODE_RECORD {
+    if hooks() & HOOK_RECORD == 0 {
         return None;
     }
     match &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {
@@ -1238,7 +1267,7 @@ pub fn recorder_dropped() -> Option<u64> {
 /// numbers its locks exactly as a solo run would and replays with a
 /// plain [`reset_lock_ids`].
 pub fn next_lock_id() -> u64 {
-    if MODE_TAG.load(Ordering::Acquire) == MODE_RECORD {
+    if hooks() & HOOK_RECORD != 0 {
         if let Some(idx) = current_record_stream() {
             if let GlobalMode::RecordSharded { lock_ids, .. } =
                 &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1271,7 +1300,7 @@ pub fn seed_lock_ids(next: u64) {
 
 /// Invokes `f` with the active sequencer if replaying.
 pub fn with_sequencer(f: impl FnOnce(&dyn LockSequencer)) {
-    if MODE_TAG.load(Ordering::Acquire) != MODE_REPLAY {
+    if hooks() & HOOK_REPLAY == 0 {
         return;
     }
     if let GlobalMode::Replay(s) = &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {

@@ -1,15 +1,24 @@
 //! Lock shims for Enoki schedulers.
 //!
 //! Schedulers synchronize internal state with these wrappers instead of raw
-//! raw `std::sync` types. The shims are the record/replay hook points the
+//! `std::sync` types. The shims are the record/replay hook points the
 //! paper describes: recording captures lock creation, acquisition, and
 //! release order (tagged with the kernel thread id); replay blocks each
 //! thread until it is its turn to acquire, reproducing the recorded
 //! interleaving. Because schedulers are safe Rust, lock order is the *only*
 //! source of nondeterminism that must be captured (paper §6).
+//!
+//! Every acquire loads [`record`]'s hook word once, before taking the std
+//! lock. When it is zero — no recorder, replay sequencer or flight ring
+//! armed, the common case — the shim is the std lock plus the lock-metrics
+//! counter and calls nothing else in [`record`]. The guard keeps that
+//! snapshot, and its release mirrors its acquire: a guard taken with
+//! nothing armed emits no `LockRelease` and calls no sequencer even if
+//! recording or replay is armed while it is held, and a guard taken while
+//! capturing never reports a release to a sequencer armed later.
 
 use crate::metrics::{self, EventKind};
-use crate::record::{self, LockOp, Rec};
+use crate::record::{self, LockOp, Rec, HOOK_REPLAY};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -43,15 +52,107 @@ fn acquire_instrumented() -> Option<Instant> {
         v
     });
     if seq.is_multiple_of(LOCK_PUBLISH_BLOCK) {
-        metrics::lock_metrics().count_n(EventKind::LockAcquires, 0, LOCK_PUBLISH_BLOCK);
+        publish_acquires();
     }
     (seq % LOCK_SAMPLE_PERIOD == 1).then(Instant::now)
 }
 
+// The rare halves of the lock metrics stay out of line, so the common
+// acquire and release inline into their callers.
+#[cold]
+#[inline(never)]
+fn publish_acquires() {
+    metrics::lock_metrics().count_n(EventKind::LockAcquires, 0, LOCK_PUBLISH_BLOCK);
+}
+
+#[cold]
+#[inline(never)]
+fn observe_hold(t0: Instant) {
+    metrics::lock_metrics().observe_duration(EventKind::LockHold, 0, t0.elapsed());
+}
+
 /// Ends the hold-time clock started by [`acquire_instrumented`].
+#[inline]
 fn release_instrumented(held_since: Option<Instant>) {
     if let Some(t0) = held_since {
-        metrics::lock_metrics().observe_duration(EventKind::LockHold, 0, t0.elapsed());
+        observe_hold(t0);
+    }
+}
+
+/// Emits `LockCreate` for a new shim lock and returns its id.
+fn create() -> u64 {
+    let id = record::next_lock_id();
+    record::emit(Rec::LockCreate {
+        tid: record::current_tid(),
+        lock: id,
+    });
+    id
+}
+
+/// A held shim lock, shared by every guard type: the std guard `G` plus
+/// the hook word its acquire saw, which its release mirrors.
+struct Held<G> {
+    id: u64,
+    /// The hook word loaded before acquiring; zero when no hook ran.
+    hooks: u8,
+    held_since: Option<Instant>,
+    guard: G,
+}
+
+impl<G> Held<G> {
+    /// Acquires through `take` (the std lock).
+    #[inline]
+    fn acquire(id: u64, op: LockOp, take: impl FnOnce() -> G) -> Held<G> {
+        let hooks = record::hooks();
+        let guard = if hooks == 0 {
+            take()
+        } else {
+            take_hooked(id, op, hooks, take)
+        };
+        Held {
+            id,
+            hooks,
+            held_since: acquire_instrumented(),
+            guard,
+        }
+    }
+}
+
+/// The armed acquire: under replay the thread first waits its turn; while
+/// capturing it logs the acquisition once it holds the lock.
+#[inline(never)]
+fn take_hooked<G>(id: u64, op: LockOp, hooks: u8, take: impl FnOnce() -> G) -> G {
+    let tid = record::current_tid();
+    if hooks & HOOK_REPLAY != 0 {
+        record::with_sequencer(|s| s.wait_turn(id, tid));
+    }
+    let guard = take();
+    if hooks & HOOK_REPLAY == 0 {
+        record::emit(Rec::LockAcquire { tid, lock: id, op });
+    }
+    guard
+}
+
+/// The armed release, mirroring [`take_hooked`] for the same `hooks`.
+#[inline(never)]
+fn release_hooked(id: u64, hooks: u8) {
+    let tid = record::current_tid();
+    if hooks & HOOK_REPLAY != 0 {
+        record::with_sequencer(|s| s.released(id, tid));
+    } else {
+        record::emit(Rec::LockRelease { tid, lock: id });
+    }
+}
+
+impl<G> Drop for Held<G> {
+    // Runs before `guard` drops, so the release hook fires with the lock
+    // still held.
+    #[inline]
+    fn drop(&mut self) {
+        release_instrumented(self.held_since.take());
+        if self.hooks != 0 {
+            release_hooked(self.id, self.hooks);
+        }
     }
 }
 
@@ -64,34 +165,19 @@ pub struct Mutex<T> {
 impl<T> Mutex<T> {
     /// Creates a new mutex around `value`.
     pub fn new(value: T) -> Mutex<T> {
-        let id = record::next_lock_id();
-        record::emit(Rec::LockCreate {
-            tid: record::current_tid(),
-            lock: id,
-        });
         Mutex {
-            id,
+            id: create(),
             inner: std::sync::Mutex::new(value),
         }
     }
 
     /// Acquires the mutex.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let tid = record::current_tid();
-        record::with_sequencer(|s| s.wait_turn(self.id, tid));
         // Like `parking_lot`, the shim ignores poisoning: a panicking
         // scheduler thread must not wedge replay of the surviving ones.
-        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        record::emit(Rec::LockAcquire {
-            tid,
-            lock: self.id,
-            op: LockOp::Mutex,
-        });
-        MutexGuard {
-            id: self.id,
-            held_since: acquire_instrumented(),
-            guard,
-        }
+        MutexGuard(Held::acquire(self.id, LockOp::Mutex, || {
+            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        }))
     }
 
     /// The framework-assigned lock id (stable across record/replay by
@@ -102,31 +188,18 @@ impl<T> Mutex<T> {
 }
 
 /// Guard for [`Mutex`].
-pub struct MutexGuard<'a, T> {
-    id: u64,
-    held_since: Option<Instant>,
-    guard: std::sync::MutexGuard<'a, T>,
-}
+pub struct MutexGuard<'a, T>(Held<std::sync::MutexGuard<'a, T>>);
 
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
+        &self.0.guard
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        release_instrumented(self.held_since.take());
-        let tid = record::current_tid();
-        record::emit(Rec::LockRelease { tid, lock: self.id });
-        record::with_sequencer(|s| s.released(self.id, tid));
+        &mut self.0.guard
     }
 }
 
@@ -143,49 +216,24 @@ pub struct RwLock<T> {
 impl<T> RwLock<T> {
     /// Creates a new read-write lock around `value`.
     pub fn new(value: T) -> RwLock<T> {
-        let id = record::next_lock_id();
-        record::emit(Rec::LockCreate {
-            tid: record::current_tid(),
-            lock: id,
-        });
         RwLock {
-            id,
+            id: create(),
             inner: std::sync::RwLock::new(value),
         }
     }
 
     /// Acquires the lock in shared mode.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let tid = record::current_tid();
-        record::with_sequencer(|s| s.wait_turn(self.id, tid));
-        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        record::emit(Rec::LockAcquire {
-            tid,
-            lock: self.id,
-            op: LockOp::Read,
-        });
-        RwLockReadGuard {
-            id: self.id,
-            held_since: acquire_instrumented(),
-            guard,
-        }
+        RwLockReadGuard(Held::acquire(self.id, LockOp::Read, || {
+            self.inner.read().unwrap_or_else(PoisonError::into_inner)
+        }))
     }
 
     /// Acquires the lock in exclusive mode.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let tid = record::current_tid();
-        record::with_sequencer(|s| s.wait_turn(self.id, tid));
-        let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        record::emit(Rec::LockAcquire {
-            tid,
-            lock: self.id,
-            op: LockOp::Write,
-        });
-        RwLockWriteGuard {
-            id: self.id,
-            held_since: acquire_instrumented(),
-            guard,
-        }
+        RwLockWriteGuard(Held::acquire(self.id, LockOp::Write, || {
+            self.inner.write().unwrap_or_else(PoisonError::into_inner)
+        }))
     }
 
     /// The framework-assigned lock id.
@@ -195,54 +243,28 @@ impl<T> RwLock<T> {
 }
 
 /// Shared guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T> {
-    id: u64,
-    held_since: Option<Instant>,
-    guard: std::sync::RwLockReadGuard<'a, T>,
-}
+pub struct RwLockReadGuard<'a, T>(Held<std::sync::RwLockReadGuard<'a, T>>);
 
 impl<T> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        release_instrumented(self.held_since.take());
-        let tid = record::current_tid();
-        record::emit(Rec::LockRelease { tid, lock: self.id });
-        record::with_sequencer(|s| s.released(self.id, tid));
+        &self.0.guard
     }
 }
 
 /// Exclusive guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T> {
-    id: u64,
-    held_since: Option<Instant>,
-    guard: std::sync::RwLockWriteGuard<'a, T>,
-}
+pub struct RwLockWriteGuard<'a, T>(Held<std::sync::RwLockWriteGuard<'a, T>>);
 
 impl<T> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
+        &self.0.guard
     }
 }
 
 impl<T> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        release_instrumented(self.held_since.take());
-        let tid = record::current_tid();
-        record::emit(Rec::LockRelease { tid, lock: self.id });
-        record::with_sequencer(|s| s.released(self.id, tid));
+        &mut self.0.guard
     }
 }
 

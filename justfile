@@ -14,8 +14,9 @@ test:
 lint:
     cargo clippy --all-targets -- -D warnings
 
-# One FNV-1a, one pick call/return pairing, one JSON escaper: fails when
-# a second copy of any of them appears in crates/, tests/ or examples/.
+# One FNV-1a, one pick call/return pairing, one JSON escaper, one
+# record/replay/flight hook word: fails when a second copy of any of them
+# appears in crates/, tests/ or examples/.
 one-of-each:
     sh tools/one-of-each.sh
 

@@ -10,7 +10,11 @@
 # change first on even ones, so drift on the host falls on both sides.
 # Prints one row per pair with the four end-to-end metrics, then each
 # side's median and quartiles, the change's wins per metric and each
-# side's failed-operation total. Exits non-zero if a run fails outright.
+# side's failed-operation total. Then it runs one traced pass per side
+# (seed 1, same seconds) and prints every per-layer metric that is
+# non-zero on either side as `name base change change/base`, plus each
+# side's ladder ratio enoki_fifo ÷ ref_fifo. Exits non-zero if a run
+# fails outright.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -32,15 +36,16 @@ if [ ! -f "$base/benchmark/run.sh" ]; then
 fi
 base_target="$base/target"
 
-# One untraced pass of one side; prints its stdout (the JSON result last).
+# One pass of one side, untraced unless a third argument of 1 is given;
+# prints its stdout (the JSON result last).
 run_side() {
-    local side=$1 seed=$2
+    local side=$1 seed=$2 trace=${3:-0}
     if [ "$side" = base ]; then
         CARGO_TARGET_DIR="$base_target" "$base/benchmark/run.sh" \
-            --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0
+            --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace"
     else
         "$root/benchmark/run.sh" \
-            --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0
+            --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace"
     fi
 }
 
@@ -60,7 +65,9 @@ cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.t
 
 metrics="events_per_sec wakeups_per_sec peak_rss_mb setup_s"
 rows=$(mktemp)
-trap 'rm -f "$rows"' EXIT
+layers_base=$(mktemp)
+layers_change=$(mktemp)
+trap 'rm -f "$rows" "$layers_base" "$layers_change"' EXIT
 sim_differs=""
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi
@@ -135,3 +142,34 @@ if [ -n "$sim_differs" ]; then
 else
     echo "sim statistics identical on both sides in every pair"
 fi
+
+# One traced pass per side, base first: `name value` per metric, in the
+# benchmark's order, then `failed N`.
+for side in base change; do
+    if ! out=$(run_side "$side" 1 1 2>/dev/null); then
+        echo "traced pass: the $side run failed" >&2
+        exit 1
+    fi
+    json=$(tail -n 1 <<<"$out")
+    if [ "$side" = base ]; then layers=$layers_base; else layers=$layers_change; fi
+    grep -o '"[a-z_.0-9]*": {"value": [^,]*' <<<"$json" |
+        sed 's/^"\([^"]*\)": {"value": /\1 /' >"$layers"
+    echo "failed $(field "$json" failed)" >>"$layers"
+done
+
+awk '
+FNR == NR { if ($1 != "failed") order[++n] = $1; base[$1] = $2; next }
+{ change[$1] = $2 }
+function ratio(num, den) { return den + 0 != 0 ? sprintf("%.3f", num / den) : "-" }
+END {
+    printf "\nper-layer, one traced pass per side (seed 1):\n"
+    printf "%-40s %14s %14s %12s\n", "metric", "base", "change", "change/base"
+    for (i = 1; i <= n; i++) {
+        k = order[i]
+        if (base[k] + 0 == 0 && change[k] + 0 == 0) continue
+        printf "%-40s %14.6g %14.6g %12s\n", k, base[k], change[k], ratio(change[k], base[k])
+    }
+    e = "ladder.enoki_fifo_ns_per_event"; r = "ladder.ref_fifo_ns_per_event"
+    printf "enoki_fifo÷ref_fifo: base %s, change %s\n", ratio(base[e], base[r]), ratio(change[e], change[r])
+    printf "traced failed operations: base %d, change %d\n", base["failed"], change["failed"]
+}' "$layers_base" "$layers_change"

@@ -1,10 +1,24 @@
 #!/bin/sh
-# One of each: the FNV-1a constants, the pick call/return pairing and the
-# JSON string escaper each live in exactly one place (enoki_sim::fnv,
-# SpanGraph::build, enoki_core::json). Fails when a copy grows back.
+# One of each: the FNV-1a constants, the pick call/return pairing, the
+# JSON string escaper and the record/replay/flight hook word each live in
+# exactly one place (enoki_sim::fnv, SpanGraph::build, enoki_core::json,
+# enoki_core::record::HOOKS). Fails when a copy grows back, including the
+# separate mode and flight flags the hook word replaced.
 # Run from the repo root: `just one-of-each` (also a CI step).
 set -u
 fail=0
+
+hooks=$(grep -rn --include='*.rs' 'static HOOKS: AtomicU8' crates)
+if [ "$(printf '%s\n' "$hooks" | cut -d: -f1)" != crates/core/src/record.rs ]; then
+    echo "one-of-each: the hook word must be declared on exactly one line, in crates/core/src/record.rs:"
+    printf '%s\n' "$hooks"
+    fail=1
+fi
+
+if grep -rn --include='*.rs' 'static MODE_TAG\|static ARMED' crates tests examples; then
+    echo "one-of-each: a second record/flight mode flag is back; use the hook word in enoki_core::record"
+    fail=1
+fi
 
 fnv=$(grep -rn --include='*.rs' 'cbf2_9ce4_8422_2325' crates tests examples)
 if [ "$(printf '%s\n' "$fnv" | grep -c .)" -ne 1 ]; then

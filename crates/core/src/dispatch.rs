@@ -321,7 +321,7 @@ where
     /// Arms the failsafe policy: dispatch starts shadowing the runnable
     /// set, and a caught panic or token-audit violation quarantines the
     /// module instead of propagating. Idempotent.
-    pub(crate) fn arm_failsafe(&self) {
+    pub fn arm_failsafe(&self) {
         let nr_cpus = self.tokens.borrow().len();
         let mut fs = self.failsafe.borrow_mut();
         if fs.is_none() {

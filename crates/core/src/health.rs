@@ -27,8 +27,9 @@
 //! conservation audit can compare exact counts instead of racing windows.
 
 use crate::dispatch::EnokiClass;
-use crate::metrics::{observe_machine, EventKind, HistogramDelta, HistogramSnapshot};
+use crate::metrics::{observe_machine, EventKind, HistogramDelta};
 use enoki_sim::behavior::HintVal;
+use enoki_sim::stats::Histogram;
 use enoki_sim::task::TaskState;
 use enoki_sim::{CpuId, Machine, Ns, Pid};
 use std::collections::{BTreeSet, VecDeque};
@@ -585,8 +586,8 @@ struct PrevTotals {
     dispatch_calls: u64,
     record_drops: u64,
     trace_drops: u64,
-    pick_latency: HistogramSnapshot,
-    blackout: HistogramSnapshot,
+    pick_latency: Histogram,
+    blackout: Histogram,
 }
 
 impl Default for PrevTotals {
@@ -598,8 +599,8 @@ impl Default for PrevTotals {
             dispatch_calls: 0,
             record_drops: 0,
             trace_drops: 0,
-            pick_latency: HistogramSnapshot::empty(),
-            blackout: HistogramSnapshot::empty(),
+            pick_latency: Histogram::new(),
+            blackout: Histogram::new(),
         }
     }
 }

@@ -20,6 +20,7 @@
 pub mod export;
 
 use crate::queue::RingBuffer;
+use enoki_sim::stats::Histogram;
 use enoki_sim::{Machine, Ns};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -27,14 +28,11 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
-// Same log-linear bucketing as `enoki_sim::stats::Histogram` (16 linear
-// sub-buckets per power of two, ~6% relative error), reproduced here over
-// atomic buckets. The constants must stay in sync for merged reporting to
-// be meaningful.
-const SUB_BUCKET_BITS: u32 = 4;
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-const MAX_EXP: usize = 48;
-const NR_BUCKETS: usize = MAX_EXP * SUB_BUCKETS;
+pub use enoki_sim::stats::HistogramDelta;
+
+/// A point-in-time copy of one latency histogram: the sim's
+/// [`Histogram`], whose bucket layout the atomic histograms share.
+pub type HistogramSnapshot = Histogram;
 
 /// Number of scheduler-defined custom counter slots per cpu.
 pub const NR_CUSTOM_COUNTERS: u8 = 4;
@@ -232,7 +230,8 @@ pub fn set_enabled(on: bool) {
 // Atomic histogram
 // ----------------------------------------------------------------------
 
-/// A lock-free log-linear latency histogram (atomic buckets).
+/// A lock-free latency histogram: atomic buckets in [`Histogram`]'s
+/// layout.
 struct AtomicHistogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
@@ -244,7 +243,7 @@ struct AtomicHistogram {
 impl AtomicHistogram {
     fn new() -> AtomicHistogram {
         AtomicHistogram {
-            buckets: (0..NR_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..Histogram::NR_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -252,232 +251,29 @@ impl AtomicHistogram {
         }
     }
 
-    fn index_of(v: u64) -> usize {
-        if v < SUB_BUCKETS as u64 {
-            return v as usize;
-        }
-        let exp = 63 - v.leading_zeros();
-        let shift = exp - SUB_BUCKET_BITS;
-        let sub = ((v >> shift) & (SUB_BUCKETS as u64 - 1)) as usize;
-        let bucket = (exp - SUB_BUCKET_BITS + 1) as usize;
-        (bucket * SUB_BUCKETS + sub).min(NR_BUCKETS - 1)
-    }
-
-    fn lower_bound_of(idx: usize) -> u64 {
-        let bucket = idx / SUB_BUCKETS;
-        let sub = (idx % SUB_BUCKETS) as u64;
-        if bucket == 0 {
-            return sub;
-        }
-        ((SUB_BUCKETS as u64) + sub) << (bucket - 1) as u32
-    }
-
     fn record(&self, v: u64) {
-        self.buckets[Self::index_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Histogram::index_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed) as u128,
-            min: self.min.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of one latency histogram.
-#[derive(Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl HistogramSnapshot {
-    /// An empty snapshot (useful as a merge accumulator).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: vec![0; NR_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+    /// Adds this histogram's samples to `out`.
+    fn merge_into(&self, out: &mut Histogram) {
+        out.merge_raw(
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)),
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed) as u128,
+            Ns(self.min.load(Ordering::Relaxed)),
+            Ns(self.max.load(Ordering::Relaxed)),
+        );
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Samples strictly above `threshold` — the "bad pick" classifier the
-    /// SLO burn-rate engine runs against cumulative snapshots. Counted
-    /// from the first bucket whose *lower bound* exceeds the threshold,
-    /// so boundary samples within a bucket's ~6% width classify as good;
-    /// the tracked exact `max` reclaims the top end (a threshold at or
-    /// above `max` is never exceeded).
-    pub fn count_over(&self, threshold: Ns) -> u64 {
-        if self.count == 0 || self.max <= threshold.0 {
-            return 0;
-        }
-        let first_bad = AtomicHistogram::index_of(threshold.0) + 1;
-        self.buckets[first_bad..].iter().sum()
-    }
-
-    /// The value (ns) at quantile `q` in `[0, 1]`, or `None` if empty.
-    ///
-    /// The extremes are exact (see `enoki_sim::stats::Histogram::quantile`,
-    /// which this snapshot mirrors): `q = 0.0` returns the tracked minimum,
-    /// `q = 1.0` the tracked maximum, never a bucket lower bound.
-    pub fn quantile(&self, q: f64) -> Option<Ns> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        if target >= self.count {
-            return Some(Ns(self.max));
-        }
-        let mut seen = 0;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let v = AtomicHistogram::lower_bound_of(idx);
-                return Some(Ns(v.min(self.max).max(self.min)));
-            }
-        }
-        Some(Ns(self.max))
-    }
-
-    /// Arithmetic mean of the samples (ns), or `None` if empty.
-    pub fn mean(&self) -> Option<Ns> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(Ns((self.sum / self.count as u128) as u64))
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> Ns {
-        Ns(self.max)
-    }
-
-    /// Smallest recorded sample (`Ns::MAX` when empty).
-    pub fn min(&self) -> Ns {
-        Ns(self.min)
-    }
-
-    /// Merges another snapshot into this one (e.g. across cpus).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Bucket-wise difference `self - earlier` for windowed measurement.
-    ///
-    /// Counts and sums subtract exactly; `min`/`max` cannot be recovered
-    /// per-window from cumulative extremes, so they are re-derived from the
-    /// surviving buckets' bounds (same ~6% bucketing error as quantiles).
-    pub fn saturating_sub(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(earlier.buckets.iter())
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        let first = buckets.iter().position(|&c| c > 0);
-        let last = buckets.iter().rposition(|&c| c > 0);
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: first.map_or(u64::MAX, AtomicHistogram::lower_bound_of),
-            // The next bucket's lower bound is an *exclusive* bound: a
-            // sample exactly at a power-of-two boundary is classified
-            // into that next bucket, so the largest value bucket `i` can
-            // hold is one below it.
-            max: last.map_or(0, |i| AtomicHistogram::lower_bound_of(i + 1) - 1),
-            buckets,
-        }
-    }
-
-    /// Summarizes the window `self - earlier` (both cumulative) without
-    /// materializing it: count, bucket-bound max, and p50/p99 in one pass
-    /// over the buckets, no allocation. This is the read path for
-    /// periodic monitors; quantiles and max carry the same ~6% bucketing
-    /// error as [`saturating_sub`](Self::saturating_sub).
-    pub fn delta_stats(&self, earlier: &HistogramSnapshot) -> HistogramDelta {
-        let count = self.count.saturating_sub(earlier.count);
-        if count == 0 {
-            return HistogramDelta::empty();
-        }
-        let t50 = ((0.5 * count as f64).ceil() as u64).max(1);
-        let t99 = ((0.99 * count as f64).ceil() as u64).max(1);
-        let (mut p50, mut p99) = (None, None);
-        let mut max = Ns(0);
-        let mut seen = 0u64;
-        for (idx, (a, b)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
-            let wc = a.saturating_sub(*b);
-            if wc == 0 {
-                continue;
-            }
-            seen += wc;
-            if p50.is_none() && seen >= t50 {
-                p50 = Some(Ns(AtomicHistogram::lower_bound_of(idx)));
-            }
-            if p99.is_none() && seen >= t99 {
-                p99 = Some(Ns(AtomicHistogram::lower_bound_of(idx)));
-            }
-            // Inclusive bucket maximum — see `saturating_sub` on why the
-            // next lower bound alone would overstate boundary samples.
-            max = Ns(AtomicHistogram::lower_bound_of(idx + 1) - 1);
-        }
-        HistogramDelta { count, max, p50, p99 }
-    }
-}
-
-/// One-pass summary of a histogram window — see
-/// [`HistogramSnapshot::delta_stats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramDelta {
-    /// Samples that landed in the window.
-    pub count: u64,
-    /// Inclusive upper bucket bound of the largest windowed sample (zero
-    /// when the window is empty).
-    pub max: Ns,
-    /// Median of the windowed samples, if any landed.
-    pub p50: Option<Ns>,
-    /// 99th percentile of the windowed samples, if any landed.
-    pub p99: Option<Ns>,
-}
-
-impl HistogramDelta {
-    /// The summary of an empty window.
-    pub fn empty() -> HistogramDelta {
-        HistogramDelta { count: 0, max: Ns(0), p50: None, p99: None }
-    }
-}
-
-impl std::fmt::Debug for HistogramSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistogramSnapshot")
-            .field("count", &self.count)
-            .field("p50", &self.quantile(0.5))
-            .field("p99", &self.quantile(0.99))
-            .field("max", &self.max)
-            .finish()
+    fn snapshot(&self) -> Histogram {
+        let mut h = Histogram::new();
+        self.merge_into(&mut h);
+        h
     }
 }
 
@@ -497,6 +293,9 @@ pub struct Exemplar {
     /// Virtual time of the sample.
     pub at: Ns,
 }
+
+/// Power-of-two exemplar tiers per histogram kind (2^47 ns is ~39 hours).
+const EXEMPLAR_TIERS: usize = 48;
 
 /// Sentinel pid marking an exemplar slot as never written.
 const EXEMPLAR_EMPTY: i64 = i64::MIN;
@@ -521,12 +320,12 @@ impl ExemplarSlot {
     }
 }
 
-/// The power-of-two tier a value falls in (`0..MAX_EXP`).
+/// The power-of-two tier a value falls in (`0..EXEMPLAR_TIERS`).
 fn exemplar_tier(v: u64) -> usize {
     if v == 0 {
         return 0;
     }
-    ((63 - v.leading_zeros()) as usize).min(MAX_EXP - 1)
+    ((63 - v.leading_zeros()) as usize).min(EXEMPLAR_TIERS - 1)
 }
 
 // ----------------------------------------------------------------------
@@ -580,7 +379,7 @@ impl SchedulerMetrics {
             counters: (0..NR_COUNTER_KINDS * nr_cpus).map(|_| AtomicU64::new(0)).collect(),
             gauges: (0..NR_GAUGE_KINDS * nr_cpus).map(|_| AtomicI64::new(0)).collect(),
             histos: (0..NR_HISTO_KINDS * nr_cpus).map(|_| AtomicHistogram::new()).collect(),
-            exemplars: (0..NR_HISTO_KINDS * MAX_EXP).map(|_| ExemplarSlot::new()).collect(),
+            exemplars: (0..NR_HISTO_KINDS * EXEMPLAR_TIERS).map(|_| ExemplarSlot::new()).collect(),
             trace: OnceLock::new(),
         })
     }
@@ -665,7 +464,7 @@ impl SchedulerMetrics {
         }
         let Some(k) = kind.histo_index() else { return };
         self.histos[k * self.nr_cpus + self.slot(cpu)].record(v.0);
-        let slot = &self.exemplars[k * MAX_EXP + exemplar_tier(v.0)];
+        let slot = &self.exemplars[k * EXEMPLAR_TIERS + exemplar_tier(v.0)];
         if v.0 >= slot.value.load(Ordering::Relaxed) {
             slot.value.store(v.0, Ordering::Relaxed);
             slot.pid.store(pid, Ordering::Relaxed);
@@ -693,7 +492,7 @@ impl SchedulerMetrics {
         let Some(k) = kind.histo_index() else {
             return Vec::new();
         };
-        self.exemplars[k * MAX_EXP..(k + 1) * MAX_EXP]
+        self.exemplars[k * EXEMPLAR_TIERS..(k + 1) * EXEMPLAR_TIERS]
             .iter()
             .filter_map(|s| {
                 let pid = s.pid.load(Ordering::Relaxed);
@@ -762,7 +561,7 @@ impl SchedulerMetrics {
         for k in 0..NR_HISTO_KINDS {
             for cpu in 0..self.nr_cpus {
                 let h = self.histos[k * self.nr_cpus + cpu].snapshot();
-                if h.count > 0 {
+                if h.count() > 0 {
                     snap.histograms.insert(self.key(EventKind::histo_kind(k), cpu), h);
                 }
             }
@@ -797,21 +596,14 @@ impl SchedulerMetrics {
     /// Histogram `kind` merged across every cpu slot, accumulated
     /// straight from the atomics into one snapshot (a single allocation).
     /// Cpus with no samples cost one atomic load each.
-    pub fn histogram_sum(&self, kind: EventKind) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::empty();
+    pub fn histogram_sum(&self, kind: EventKind) -> Histogram {
+        let mut out = Histogram::new();
         if let Some(k) = kind.histo_index() {
             for cpu in 0..self.nr_cpus {
                 let h = &self.histos[k * self.nr_cpus + cpu];
-                if h.count.load(Ordering::Relaxed) == 0 {
-                    continue;
+                if h.count.load(Ordering::Relaxed) != 0 {
+                    h.merge_into(&mut out);
                 }
-                for (acc, b) in out.buckets.iter_mut().zip(h.buckets.iter()) {
-                    *acc += b.load(Ordering::Relaxed);
-                }
-                out.count += h.count.load(Ordering::Relaxed);
-                out.sum += h.sum.load(Ordering::Relaxed) as u128;
-                out.min = out.min.min(h.min.load(Ordering::Relaxed));
-                out.max = out.max.max(h.max.load(Ordering::Relaxed));
             }
         }
         out
@@ -975,7 +767,7 @@ pub struct MetricsSnapshot {
     /// Point-in-time levels.
     pub gauges: BTreeMap<MetricKey, i64>,
     /// Latency distributions.
-    pub histograms: BTreeMap<MetricKey, HistogramSnapshot>,
+    pub histograms: BTreeMap<MetricKey, Histogram>,
 }
 
 impl MetricsSnapshot {
@@ -1013,7 +805,7 @@ impl MetricsSnapshot {
     }
 
     /// The histogram for `(scheduler, cpu, kind)`, if any samples landed.
-    pub fn histogram(&self, scheduler: &str, cpu: usize, kind: EventKind) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, scheduler: &str, cpu: usize, kind: EventKind) -> Option<&Histogram> {
         self.histograms.get(&MetricKey {
             scheduler: scheduler.to_string(),
             cpu: cpu as u32,
@@ -1023,11 +815,11 @@ impl MetricsSnapshot {
 
     /// The histogram for `(scheduler, kind)` merged across every cpu, or
     /// `None` if no cpu recorded a sample.
-    pub fn histogram_merged(&self, scheduler: &str, kind: EventKind) -> Option<HistogramSnapshot> {
-        let mut acc: Option<HistogramSnapshot> = None;
+    pub fn histogram_merged(&self, scheduler: &str, kind: EventKind) -> Option<Histogram> {
+        let mut acc: Option<Histogram> = None;
         for (k, h) in &self.histograms {
             if k.scheduler == scheduler && k.kind == kind {
-                acc.get_or_insert_with(HistogramSnapshot::empty).merge(h);
+                acc.get_or_insert_with(Histogram::new).merge(h);
             }
         }
         acc
@@ -1054,7 +846,7 @@ impl MetricsSnapshot {
         for (k, h) in &other.histograms {
             self.histograms
                 .entry(k.clone())
-                .or_insert_with(HistogramSnapshot::empty)
+                .or_default()
                 .merge(h);
         }
     }
@@ -1078,7 +870,7 @@ impl MetricsSnapshot {
                 Some(e) => h.saturating_sub(e),
                 None => h.clone(),
             };
-            if d.count > 0 {
+            if d.count() > 0 {
                 out.histograms.insert(k.clone(), d);
             }
         }
@@ -1275,10 +1067,10 @@ mod tests {
         for k in 1..40u32 {
             let edge = 1u64 << k;
             for v in [edge - 1, edge, edge + 1] {
-                let idx = AtomicHistogram::index_of(v);
-                let lo = AtomicHistogram::lower_bound_of(idx);
-                let hi = AtomicHistogram::lower_bound_of(idx + 1);
-                if idx < NR_BUCKETS - 1 {
+                let idx = Histogram::index_of(v);
+                let lo = Histogram::lower_bound_of(idx);
+                let hi = Histogram::lower_bound_of(idx + 1);
+                if idx < Histogram::NR_BUCKETS - 1 {
                     assert!(lo <= v && v < hi, "v={v} idx={idx} lo={lo} hi={hi}");
                 } else {
                     assert!(lo <= v, "v={v} idx={idx} lo={lo}");
@@ -1300,22 +1092,22 @@ mod tests {
 
         let hb = before.histogram("w", 0, EventKind::PickLatency);
         let ha = after.histogram("w", 0, EventKind::PickLatency).unwrap();
-        let empty = HistogramSnapshot::empty();
+        let empty = Histogram::new();
         let window = ha.saturating_sub(hb.unwrap_or(&empty));
         assert_eq!(window.count(), 1);
         let max = window.max().0;
         assert!(max <= 31, "window max {max} overstates the sample 31");
-        let idx_of_max = AtomicHistogram::index_of(max);
+        let idx_of_max = Histogram::index_of(max);
         assert_eq!(
             idx_of_max,
-            AtomicHistogram::index_of(31),
+            Histogram::index_of(31),
             "window max {max} classifies into a bucket no sample landed in"
         );
 
         let delta = ha.delta_stats(hb.unwrap_or(&empty));
         assert_eq!(delta.count, 1);
         assert!(delta.max.0 <= 31, "delta max {} overstates the sample", delta.max.0);
-        assert_eq!(AtomicHistogram::index_of(delta.max.0), AtomicHistogram::index_of(31));
+        assert_eq!(Histogram::index_of(delta.max.0), Histogram::index_of(31));
     }
 
     #[test]
@@ -1462,7 +1254,7 @@ mod tests {
         assert_eq!(snap.count_over(Ns(80_000)), 0);
         assert_eq!(snap.count_over(Ns(1_000_000)), 0);
         // Empty snapshot: no division, no samples.
-        assert_eq!(HistogramSnapshot::empty().count_over(Ns::ZERO), 0);
+        assert_eq!(Histogram::new().count_over(Ns::ZERO), 0);
     }
 
     #[test]

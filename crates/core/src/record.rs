@@ -175,7 +175,8 @@ pub enum DecisionReason {
     MinVruntime = 3,
     /// FIFO/FCFS pick: the oldest waiting task.
     QueueHead = 4,
-    /// Predictive pick: smallest predicted service burst.
+    /// Shortest-predicted-burst pick. No library policy emits it; the
+    /// variant stays so wire tag 5 keeps its meaning in existing logs.
     ShortestPredictedBurst = 5,
     /// Locality pick: a hint or history pinned the task to this cpu.
     LocalityHint = 6,
@@ -369,7 +370,7 @@ pub enum Rec {
         candidates: u32,
         /// Why the chosen task won ([`DecisionReason`] byte).
         reason: DecisionReason,
-        /// Predicted service burst in ns (predictive policies), else 0.
+        /// Predicted service burst in ns; 0 from every library policy.
         predicted: u64,
     },
     /// An epoch-barrier frame in a sharded cluster capture: the owning

@@ -223,7 +223,7 @@ pub struct DecisionView {
     pub candidates: u32,
     /// Why the chosen task won.
     pub reason: DecisionReason,
-    /// Predicted service burst (predictive policies), else 0.
+    /// Predicted service burst; 0 from every library policy.
     pub predicted: u64,
 }
 

@@ -16,7 +16,6 @@
 //! | [`locality`] | 4.2.3 | Hint-driven locality-aware scheduler |
 //! | [`arbiter`] | 4.2.4 | Arachne-style core arbiter (two-level scheduling) |
 //! | [`ghost`] | 4.2.2 | ghOSt emulation: userspace agents, async commits |
-//! | [`predictive`] | 3.2/3.3 | Online per-task runtime models driving slices + placement |
 //! | [`meta`] | 3.2 | Policy arsenal + chooser for the telemetry-driven meta-scheduler |
 
 pub mod arbiter;
@@ -26,8 +25,6 @@ pub mod fifo;
 pub mod ghost;
 pub mod locality;
 pub mod meta;
-pub mod nest;
-pub mod predictive;
 pub mod shinjuku;
 pub mod wfq;
 
@@ -36,7 +33,5 @@ pub use cfs::Cfs;
 pub use fifo::Fifo;
 pub use locality::Locality;
 pub use meta::{arsenal, classify, default_chooser, PolicyRegistry};
-pub use nest::Nest;
-pub use predictive::Predictive;
 pub use shinjuku::Shinjuku;
 pub use wfq::Wfq;

@@ -109,10 +109,6 @@ impl PolicyRegistry {
                 ("wfq", Box::new(move || boxed(Wfq::new(nr_cpus)))),
                 ("shinjuku", Box::new(move || boxed(Shinjuku::new(nr_cpus)))),
                 ("locality", Box::new(move || boxed(Locality::new(nr_cpus)))),
-                (
-                    "predictive",
-                    Box::new(move || boxed(crate::predictive::Predictive::new(nr_cpus))),
-                ),
             ],
         }
     }
@@ -208,7 +204,7 @@ mod tests {
     #[test]
     fn registry_builds_by_name() {
         let mut reg = PolicyRegistry::standard(4);
-        assert_eq!(reg.names(), vec!["wfq", "shinjuku", "locality", "predictive"]);
+        assert_eq!(reg.names(), vec!["wfq", "shinjuku", "locality"]);
         let s = reg.build("shinjuku").expect("known name");
         assert_eq!(s.get_policy(), Shinjuku::POLICY);
         assert!(reg.build("nope").is_none());

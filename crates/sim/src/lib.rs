@@ -40,7 +40,6 @@
 pub mod behavior;
 pub mod cluster;
 pub mod costs;
-pub mod energy;
 pub mod event;
 pub mod fifo_ref;
 pub mod fnv;

@@ -5,13 +5,15 @@ use crate::time::Ns;
 const SUB_BUCKET_BITS: u32 = 4;
 const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS; // 16 linear sub-buckets per power of two
 const MAX_EXP: usize = 48; // covers up to ~78 hours in ns
-const NR_BUCKETS: usize = MAX_EXP * SUB_BUCKETS;
 
 /// A log-linear latency histogram (HdrHistogram-style).
 ///
 /// Values are bucketed by power of two with 16 linear sub-buckets per
 /// decade-of-two, giving ~6% relative error — plenty for p50/p99/p999
-/// scheduling-latency reporting.
+/// scheduling-latency reporting. This is the workspace's one bucket
+/// layout: `enoki_core::metrics` keeps atomic buckets in the same layout
+/// (through [`index_of`](Self::index_of) and [`merge_raw`](Self::merge_raw))
+/// and snapshots into this type.
 ///
 /// # Examples
 ///
@@ -25,7 +27,7 @@ const NR_BUCKETS: usize = MAX_EXP * SUB_BUCKETS;
 /// let p50 = h.quantile(0.50).unwrap().as_us_f64();
 /// assert!((45.0..=56.0).contains(&p50));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -41,10 +43,13 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// Number of buckets in the layout.
+    pub const NR_BUCKETS: usize = MAX_EXP * SUB_BUCKETS;
+
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            buckets: vec![0; NR_BUCKETS],
+            buckets: vec![0; Self::NR_BUCKETS],
             count: 0,
             sum: 0,
             max: Ns::ZERO,
@@ -52,7 +57,9 @@ impl Histogram {
         }
     }
 
-    fn index_of(v: u64) -> usize {
+    /// The bucket that holds value `v`.
+    #[inline]
+    pub fn index_of(v: u64) -> usize {
         if v < SUB_BUCKETS as u64 {
             return v as usize;
         }
@@ -61,10 +68,13 @@ impl Histogram {
         let sub = ((v >> shift) & (SUB_BUCKETS as u64 - 1)) as usize;
         let bucket = (exp - SUB_BUCKET_BITS + 1) as usize;
         let idx = bucket * SUB_BUCKETS + sub;
-        idx.min(NR_BUCKETS - 1)
+        idx.min(Self::NR_BUCKETS - 1)
     }
 
-    fn lower_bound_of(idx: usize) -> u64 {
+    /// The smallest value bucket `idx` holds; bucket `idx + 1`'s lower
+    /// bound is this bucket's exclusive upper bound.
+    #[inline]
+    pub fn lower_bound_of(idx: usize) -> u64 {
         let bucket = idx / SUB_BUCKETS;
         let sub = (idx % SUB_BUCKETS) as u64;
         if bucket == 0 {
@@ -86,6 +96,20 @@ impl Histogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Samples strictly above `threshold` — the "bad pick" classifier the
+    /// SLO burn-rate engine runs against cumulative snapshots. Counted
+    /// from the first bucket whose *lower bound* exceeds the threshold,
+    /// so boundary samples within a bucket's ~6% width classify as good;
+    /// the tracked exact `max` reclaims the top end (a threshold at or
+    /// above `max` is never exceeded).
+    pub fn count_over(&self, threshold: Ns) -> u64 {
+        if self.count == 0 || self.max <= threshold {
+            return 0;
+        }
+        let first_bad = Self::index_of(threshold.0) + 1;
+        self.buckets[first_bad..].iter().sum()
     }
 
     /// The value at quantile `q` in `[0, 1]`, or `None` if empty.
@@ -137,13 +161,89 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        self.merge_raw(other.buckets.iter().copied(), other.count, other.sum, other.min, other.max);
+    }
+
+    /// Merges samples held elsewhere in this layout: `buckets` in index
+    /// order (at most [`NR_BUCKETS`](Self::NR_BUCKETS) of them) plus their
+    /// count, sum and extremes. This is how a lock-free mirror, such as
+    /// `enoki_core::metrics`' atomic histogram, folds into a plain one.
+    pub fn merge_raw(
+        &mut self,
+        buckets: impl IntoIterator<Item = u64>,
+        count: u64,
+        sum: u128,
+        min: Ns,
+        max: Ns,
+    ) {
+        for (a, b) in self.buckets.iter_mut().zip(buckets) {
             *a += b;
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
+        self.count += count;
+        self.sum += sum;
+        self.max = self.max.max(max);
+        self.min = self.min.min(min);
+    }
+
+    /// Bucket-wise difference `self - earlier` for windowed measurement.
+    ///
+    /// Counts and sums subtract exactly; `min`/`max` cannot be recovered
+    /// per-window from cumulative extremes, so they are re-derived from the
+    /// surviving buckets' bounds (same ~6% bucketing error as quantiles).
+    pub fn saturating_sub(&self, earlier: &Histogram) -> Histogram {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .zip(earlier.buckets.iter())
+            .map(|(a, b)| a.saturating_sub(*b))
+            .collect();
+        let first = buckets.iter().position(|&c| c > 0);
+        let last = buckets.iter().rposition(|&c| c > 0);
+        Histogram {
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+            min: first.map_or(Ns::MAX, |i| Ns(Self::lower_bound_of(i))),
+            // The next bucket's lower bound is an *exclusive* bound: a
+            // sample exactly at a power-of-two boundary is classified
+            // into that next bucket, so the largest value bucket `i` can
+            // hold is one below it.
+            max: last.map_or(Ns::ZERO, |i| Ns(Self::lower_bound_of(i + 1) - 1)),
+            buckets,
+        }
+    }
+
+    /// Summarizes the window `self - earlier` (both cumulative) without
+    /// materializing it: count, bucket-bound max, and p50/p99 in one pass
+    /// over the buckets, no allocation. This is the read path for
+    /// periodic monitors; quantiles and max carry the same ~6% bucketing
+    /// error as [`saturating_sub`](Self::saturating_sub).
+    pub fn delta_stats(&self, earlier: &Histogram) -> HistogramDelta {
+        let count = self.count.saturating_sub(earlier.count);
+        if count == 0 {
+            return HistogramDelta::empty();
+        }
+        let t50 = ((0.5 * count as f64).ceil() as u64).max(1);
+        let t99 = ((0.99 * count as f64).ceil() as u64).max(1);
+        let (mut p50, mut p99) = (None, None);
+        let mut max = Ns(0);
+        let mut seen = 0u64;
+        for (idx, (a, b)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
+            let wc = a.saturating_sub(*b);
+            if wc == 0 {
+                continue;
+            }
+            seen += wc;
+            if p50.is_none() && seen >= t50 {
+                p50 = Some(Ns(Self::lower_bound_of(idx)));
+            }
+            if p99.is_none() && seen >= t99 {
+                p99 = Some(Ns(Self::lower_bound_of(idx)));
+            }
+            // Inclusive bucket maximum — see `saturating_sub` on why the
+            // next lower bound alone would overstate boundary samples.
+            max = Ns(Self::lower_bound_of(idx + 1) - 1);
+        }
+        HistogramDelta { count, max, p50, p99 }
     }
 
     /// Clears all samples.
@@ -164,6 +264,28 @@ impl core::fmt::Debug for Histogram {
             .field("p99", &self.quantile(0.99))
             .field("max", &self.max)
             .finish()
+    }
+}
+
+/// One-pass summary of a histogram window — see
+/// [`Histogram::delta_stats`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HistogramDelta {
+    /// Samples that landed in the window.
+    pub count: u64,
+    /// Inclusive upper bucket bound of the largest windowed sample (zero
+    /// when the window is empty).
+    pub max: Ns,
+    /// Median of the windowed samples, if any landed.
+    pub p50: Option<Ns>,
+    /// 99th percentile of the windowed samples, if any landed.
+    pub p99: Option<Ns>,
+}
+
+impl HistogramDelta {
+    /// The summary of an empty window.
+    pub fn empty() -> HistogramDelta {
+        HistogramDelta { count: 0, max: Ns(0), p50: None, p99: None }
     }
 }
 
@@ -469,7 +591,7 @@ mod tests {
                     Histogram::lower_bound_of(idx) <= v,
                     "v={v} below its bucket {idx}"
                 );
-                if idx + 1 < NR_BUCKETS {
+                if idx + 1 < Histogram::NR_BUCKETS {
                     assert!(
                         v < Histogram::lower_bound_of(idx + 1),
                         "v={v} at or above the next bucket after {idx}"

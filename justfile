@@ -15,10 +15,16 @@ lint:
     cargo clippy --all-targets -- -D warnings
 
 # One FNV-1a, one pick call/return pairing, one JSON escaper, one
-# record/replay/flight hook word: fails when a second copy of any of them
-# appears in crates/, tests/ or examples/.
+# record/replay/flight hook word, one histogram bucket layout: fails when
+# a second copy of any of them appears in crates/, tests/ or examples/,
+# or when a crate's non-test lines exceed tools/loc.budget.
 one-of-each:
     sh tools/one-of-each.sh
+
+# Non-test lines of Rust per crate, with enoki-core split into the
+# paper's framework modules and their extensions (EXPERIMENTS.md Table 2).
+loc:
+    sh tools/loc.sh
 
 # Criterion-style microbenchmarks (includes the metrics-overhead gate).
 bench:

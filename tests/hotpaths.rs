@@ -4,13 +4,19 @@
 //! `enoki_sim::event` already proves identical pop order on raw event
 //! streams; these tests close the loop through the whole simulator —
 //! dispatch, ticks, sleeps, IPC, migrations — by hashing the schedviz
-//! trace of complete runs.
+//! trace of complete runs. The same scenes pin that arming telemetry
+//! does not move the schedule, and the pipe benchmark pins how many
+//! framework calls one message costs.
 
-use enoki::core::flight::fnv1a;
+use enoki::core::flight::{self, fnv1a};
+use enoki::core::health::HealthConfig;
 use enoki::core::metrics::export;
+use enoki::core::FlightSpec;
+use enoki::replay::{start_recording, stop_recording};
 use enoki::sim::behavior::{Op, ProgramBehavior};
 use enoki::sim::rng::SmallRng;
 use enoki::sim::{CostModel, Ns, TaskSpec, Topology};
+use enoki::workloads::pipe::{run_pipe_on, PipeConfig};
 use enoki::workloads::testbed::{build, BedOptions, SchedKind, TestBed};
 
 /// A seed-derived scene mixing every event source the machine has:
@@ -59,27 +65,81 @@ fn spawn_random_scene(bed: &mut TestBed, seed: u64) {
     }
 }
 
-/// Runs the scene to completion and returns (trace hash, traced-event
-/// count, context switches): the trace hash covers per-cpu spans and
-/// migrations with timestamps, so any divergence in event ordering
-/// between queue implementations lands in it.
+/// How much telemetry a scene runs under. Each level arms everything the
+/// levels before it arm, plus one layer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Arm {
+    Bare,
+    Ledger,
+    Health,
+    Failsafe,
+    Flight,
+    Record,
+}
+
+const ARMS: [Arm; 6] = [
+    Arm::Bare,
+    Arm::Ledger,
+    Arm::Health,
+    Arm::Failsafe,
+    Arm::Flight,
+    Arm::Record,
+];
+
+/// Runs the scene to completion under `arm` and returns (trace hash,
+/// traced-event count, context switches, events): the trace hash covers
+/// per-cpu spans and migrations with timestamps, so any divergence in
+/// event ordering between queue implementations lands in it.
+///
+/// Flight and record arming are process-global; only
+/// [`arming_telemetry_does_not_move_the_schedule`] arms them, and it
+/// disarms both before it returns.
 fn run_scene(
     topo: Topology,
     kind: SchedKind,
     seed: u64,
     reference_queue: bool,
-) -> (u64, usize, u64) {
+    arm: Arm,
+) -> (u64, usize, u64, u64) {
     let nr_cpus = topo.nr_cpus();
-    let mut bed = build(topo, CostModel::calibrated(), kind, BedOptions::default());
+    let opts = BedOptions {
+        health: (arm >= Arm::Health).then(HealthConfig::default),
+        ..BedOptions::default()
+    };
+    let mut bed = build(topo, CostModel::calibrated(), kind, opts);
     if reference_queue {
         bed.machine.use_reference_event_queue();
     }
+    if let Some(class) = bed.enoki.as_ref().filter(|_| arm >= Arm::Ledger) {
+        class.arm_token_ledger();
+        if arm >= Arm::Failsafe {
+            class.arm_failsafe();
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("enoki-hotpaths-{}", std::process::id()));
+    if arm >= Arm::Flight {
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let spec = FlightSpec {
+            capacity: 1 << 12,
+            dir: dir.clone(),
+            ..FlightSpec::default()
+        };
+        flight::arm(spec, String::new(), None);
+    }
+    let session = (arm >= Arm::Record)
+        .then(|| start_recording(&dir.join("scene.log"), 1 << 20).expect("record log is writable"));
     bed.machine.enable_trace(1 << 18);
     spawn_random_scene(&mut bed, seed);
-    assert!(bed
-        .machine
-        .run_to_completion(Ns::from_secs(2))
-        .expect("no kernel panic"));
+    let finished = bed.machine.run_to_completion(Ns::from_secs(2));
+    if let Some(session) = session {
+        let written = stop_recording(session).expect("record log flushes");
+        assert!(written > 0, "{kind:?}: the record level wrote no records");
+    }
+    if arm >= Arm::Flight {
+        flight::disarm();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(finished.expect("no kernel panic"));
     let tracer = bed.machine.tracer().expect("tracing armed");
     let json = export::chrome_trace_from_sim(tracer, nr_cpus, bed.machine.now());
     export::validate_json(&json).expect("trace JSON is valid");
@@ -87,6 +147,7 @@ fn run_scene(
         fnv1a(json.as_bytes()),
         tracer.len(),
         bed.machine.stats().nr_context_switches,
+        bed.machine.events_processed(),
     )
 }
 
@@ -102,8 +163,8 @@ fn timer_wheel_and_heap_produce_identical_schedviz_traces() {
     for (topo, kind) in cases {
         let cpus = topo.nr_cpus();
         for seed in SEEDS {
-            let wheel = run_scene(topo.clone(), kind, seed, false);
-            let heap = run_scene(topo.clone(), kind, seed, true);
+            let wheel = run_scene(topo.clone(), kind, seed, false, Arm::Bare);
+            let heap = run_scene(topo.clone(), kind, seed, true, Arm::Bare);
             assert_eq!(
                 wheel, heap,
                 "{kind:?}/{cpus} cpus seed {seed}: (trace hash, events, ctx switches) diverged between wheel and heap"
@@ -139,7 +200,11 @@ fn cfs_schedules_match_golden_pins() {
         (Topology::xeon_6138_2s(), CFS_XEON_6138_2S),
     ] {
         let cpus = topo.nr_cpus();
-        let got = SEEDS.map(|seed| run_scene(topo.clone(), SchedKind::Cfs, seed, false));
+        let got = SEEDS.map(|seed| {
+            let (hash, traced, switches, _) =
+                run_scene(topo.clone(), SchedKind::Cfs, seed, false, Arm::Bare);
+            (hash, traced, switches)
+        });
         assert_eq!(
             got, pins,
             "CFS/{cpus} cpus, seeds {SEEDS:?}: got {:x?}",
@@ -153,7 +218,88 @@ fn cfs_schedules_match_golden_pins() {
 /// constants.
 #[test]
 fn trace_hash_is_seed_sensitive() {
-    let a = run_scene(Topology::i7_9700(), SchedKind::Wfq, 1, false);
-    let b = run_scene(Topology::i7_9700(), SchedKind::Wfq, 2, false);
+    let a = run_scene(Topology::i7_9700(), SchedKind::Wfq, 1, false, Arm::Bare);
+    let b = run_scene(Topology::i7_9700(), SchedKind::Wfq, 2, false, Arm::Bare);
     assert_ne!(a.0, b.0, "seeds 1 and 2 hashed identically");
+}
+
+/// The observer effect is zero: arming the token ledger, health
+/// telemetry, the failsafe, the flight recorder and the record log, one
+/// at a time, leaves (trace hash, traced events, context switches,
+/// events) exactly where the bare run put them.
+#[test]
+fn arming_telemetry_does_not_move_the_schedule() {
+    for kind in [
+        SchedKind::Fifo,
+        SchedKind::Wfq,
+        SchedKind::Cfs,
+        SchedKind::Shinjuku,
+    ] {
+        for seed in [7, 31_337] {
+            let bare = run_scene(Topology::i7_9700(), kind, seed, false, Arm::Bare);
+            assert!(
+                bare.1 > 0,
+                "{kind:?} seed {seed}: empty trace proves nothing"
+            );
+            for arm in &ARMS[1..] {
+                let armed = run_scene(Topology::i7_9700(), kind, seed, false, *arm);
+                assert_eq!(
+                    armed, bare,
+                    "{kind:?} seed {seed}: arming up to {arm:?} moved (trace hash, traced events, ctx switches, events)"
+                );
+            }
+        }
+    }
+}
+
+/// Framework calls per pipe message, counted from `EnokiClass::stats()`
+/// over the difference of two run lengths so start-up and exit calls
+/// cancel: (policy, calls per message pinned to one core, calls per
+/// message on two cores). Both runs end before the first timer tick, so
+/// every counted call is driven by a message. The slope of Table 3's
+/// virtual time against the per-call overhead is 4, the calls on the
+/// message's critical path; these are every call the framework makes.
+const CALLS_PER_MSG: [(SchedKind, u64, u64); 4] = [
+    (SchedKind::Wfq, 5, 7),
+    (SchedKind::Fifo, 5, 7),
+    (SchedKind::Cfs, 5, 7),
+    (SchedKind::Shinjuku, 4, 7),
+];
+
+#[test]
+fn pipe_messages_cost_a_pinned_number_of_framework_calls() {
+    let calls = |kind, one_core, round_trips| {
+        let mut bed = build(
+            Topology::i7_9700(),
+            CostModel::calibrated(),
+            kind,
+            BedOptions::default(),
+        );
+        let r = run_pipe_on(
+            &mut bed,
+            PipeConfig {
+                round_trips,
+                one_core,
+            },
+        );
+        assert_eq!(
+            bed.machine.stats().nr_ticks,
+            0,
+            "{kind:?}: a tick landed in the run"
+        );
+        (bed.enoki.expect("an Enoki class").stats().calls, r.messages)
+    };
+    for (kind, one_core_calls, two_core_calls) in CALLS_PER_MSG {
+        for (one_core, want) in [(true, one_core_calls), (false, two_core_calls)] {
+            let (short, short_msgs) = calls(kind, one_core, 100);
+            let (long, long_msgs) = calls(kind, one_core, 200);
+            let msgs = long_msgs - short_msgs;
+            assert_eq!(
+                long - short,
+                want * msgs,
+                "{kind:?} one_core={one_core}: {} calls over {msgs} messages, pinned {want} per message",
+                long - short
+            );
+        }
+    }
 }

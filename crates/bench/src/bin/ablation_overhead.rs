@@ -1,9 +1,9 @@
 //! Ablation: how the framework's per-call overhead shapes the pipe
-//! benchmark (paper §5.2 attributes Enoki's 0.4–0.6 µs/message cost to
-//! "100-150 ns of overhead per invocation", invoked four times per
-//! schedule operation). Sweeping the per-call overhead verifies that the
-//! model reproduces exactly that sensitivity — and shows what a faster or
-//! slower FFI layer would buy.
+//! benchmark. The two-core pipe it runs makes 7 framework calls per
+//! message (`tests/hotpaths.rs` pins the count); the slope of 4 it prints
+//! counts only the calls on a message's critical path. 125 ns is the
+//! paper's per-invocation figure (§5.2), used here as an input, so the
+//! sweep shows what a faster or slower FFI layer would buy.
 
 use enoki_bench::header;
 use enoki_bench::report::Report;

@@ -211,6 +211,7 @@ mod tests {
     fn capture_produces_one_log_per_machine() {
         // Process-global record state: self-contained, disarms via
         // finish() (same discipline as the record.rs sharded test).
+        let _serial = record::tests::serial();
         let b = ClusterBuilder::new(3).shards(2).record_slots(64);
         let capture = b.record();
         assert_eq!(capture.streams(), 3);

@@ -23,12 +23,15 @@
 //! virtual-time run, the same seed and fault plan reproduce a
 //! byte-identical dump — `bench_gate` pins the FNV of exactly that.
 //!
-//! Arming is process-global, mirroring the [`crate::record`] mode
+//! Arming is process-global and goes through the [`crate::record`] mode
 //! switch: [`arm`] installs the ring (usually via
-//! [`crate::MachineBuilder::flight`]) and sets the flight bit of the
-//! record hook word, [`disarm`] clears it and removes the ring. While
-//! armed and not replaying, [`crate::record::recording`] reports true,
-//! so every existing emission site feeds the ring with no new hooks.
+//! [`crate::MachineBuilder::flight`]) next to the armed record/replay
+//! mode and sets the flight bit of the record hook word, [`disarm`]
+//! clears it and removes the ring. While armed and not replaying,
+//! [`crate::record::recording`] reports true, and the
+//! [`crate::record::emit`] funnel pushes each record into the ring held
+//! by its thread-local snapshot of the armed sinks, so every existing
+//! emission site feeds the ring with no new hooks.
 
 use crate::health::Incident;
 use crate::json;
@@ -40,7 +43,7 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration of the flight recorder ring and its dump triggers.
 #[derive(Clone, Debug)]
@@ -102,7 +105,7 @@ struct Slot {
 /// seqlock was stable. In the deterministic simulator everything runs on
 /// one thread, so snapshots are exact and reproducible; under real
 /// concurrency a slot being overwritten mid-read is skipped, never torn.
-struct FlightRing {
+pub(crate) struct FlightRing {
     slots: Box<[Slot]>,
     mask: u64,
     cursor: AtomicU64,
@@ -128,7 +131,7 @@ impl FlightRing {
     }
 
     #[inline]
-    fn push(&self, rec: Rec) {
+    pub(crate) fn push(&self, rec: Rec) {
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(i & self.mask) as usize];
         slot.seq.store(2 * i + 1, Ordering::Release);
@@ -158,11 +161,13 @@ impl FlightRing {
 }
 
 // ---------------------------------------------------------------------
-// Global arming (mirrors the record-mode switch)
+// Global arming (through the record-mode switch)
 // ---------------------------------------------------------------------
 
-struct FlightState {
-    ring: FlightRing,
+/// An armed ring and its dump settings, held by the record module's armed
+/// sinks; [`crate::record::emit`] pushes into `ring`.
+pub(crate) struct FlightState {
+    pub(crate) ring: FlightRing,
     spec: FlightSpec,
     /// Builder-provided context embedded in every manifest.
     config: String,
@@ -174,28 +179,8 @@ struct FlightState {
     auto_dumps: AtomicU64,
 }
 
-static STATE: RwLock<Option<Arc<FlightState>>> = RwLock::new(None);
-/// Bumped on every arm/disarm so [`mirror`]'s thread-local state cache
-/// knows when to refresh — the mirror hot path must not take the
-/// [`STATE`] read lock (plus an `Arc` bump) per record.
-static STATE_GEN: AtomicU64 = AtomicU64::new(0);
 /// The most recent dump written since arming (any trigger).
 static LAST_DUMP: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-thread_local! {
-    /// (generation, state) cache for [`mirror`]. Starts at generation 0
-    /// — the same as a never-armed [`STATE_GEN`] — with no state, which
-    /// is exactly right: nothing to mirror into.
-    static CACHED_STATE: std::cell::RefCell<(u64, Option<Arc<FlightState>>)> =
-        const { std::cell::RefCell::new((0, None)) };
-}
-
-fn state() -> Option<Arc<FlightState>> {
-    STATE
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
 
 /// Arms the flight recorder process-wide with a fresh ring.
 ///
@@ -213,42 +198,13 @@ pub fn arm(spec: FlightSpec, config: String, metrics: Option<Arc<SchedulerMetric
         last_auto_at: AtomicU64::new(u64::MAX),
         auto_dumps: AtomicU64::new(0),
     });
-    *STATE.write().unwrap_or_else(PoisonError::into_inner) = Some(st);
     *LAST_DUMP.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    STATE_GEN.fetch_add(1, Ordering::Release);
-    record::set_flight_hook(true);
+    record::set_flight(Some(st));
 }
 
 /// Disarms the flight recorder and drops the ring.
 pub fn disarm() {
-    record::set_flight_hook(false);
-    *STATE.write().unwrap_or_else(PoisonError::into_inner) = None;
-    STATE_GEN.fetch_add(1, Ordering::Release);
-}
-
-/// True while a flight ring is armed (the flight bit of the hook word the
-/// [`crate::record::emit`] funnel reads).
-#[inline]
-pub fn armed() -> bool {
-    record::hooks() & record::HOOK_FLIGHT != 0
-}
-
-/// Mirrors one record into the ring (no-op when disarmed). Called from
-/// the [`crate::record::emit`] funnel so every emission site — dispatch
-/// calls, hints, lock shims, decisions, faults — feeds the flight ring
-/// with no per-site changes.
-#[inline]
-pub fn mirror(rec: Rec) {
-    let gen = STATE_GEN.load(Ordering::Acquire);
-    CACHED_STATE.with(|c| {
-        let mut c = c.borrow_mut();
-        if c.0 != gen {
-            *c = (gen, state());
-        }
-        if let Some(st) = &c.1 {
-            st.ring.push(rec);
-        }
-    });
+    record::set_flight(None);
 }
 
 /// The most recent black-box dump written since arming, if any.
@@ -279,7 +235,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// are swallowed: a black box must never take down the run it exists
 /// to explain.
 pub fn auto_dump(reason: &str, at: Ns, incidents: &[Incident]) {
-    let Some(st) = state() else { return };
+    let Some(st) = record::flight() else { return };
     if st.auto_dumps.load(Ordering::Relaxed) >= st.spec.max_dumps {
         return;
     }
@@ -296,7 +252,7 @@ pub fn auto_dump(reason: &str, at: Ns, incidents: &[Incident]) {
 /// Errors if the flight recorder is not armed or the dump cannot be
 /// written.
 pub fn dump(reason: &str, at: Ns, incidents: &[Incident]) -> std::io::Result<PathBuf> {
-    let Some(st) = state() else {
+    let Some(st) = record::flight() else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
             "flight recorder not armed (MachineBuilder::flight / flight::arm)",

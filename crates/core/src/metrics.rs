@@ -1060,26 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_classification_is_consistent_at_power_of_two_edges() {
-        // A sample exactly at a bucket boundary belongs to the bucket it
-        // indexes into, and that bucket's bounds must bracket it:
-        // lower_bound_of(index_of(v)) <= v < lower_bound_of(index_of(v)+1).
-        for k in 1..40u32 {
-            let edge = 1u64 << k;
-            for v in [edge - 1, edge, edge + 1] {
-                let idx = Histogram::index_of(v);
-                let lo = Histogram::lower_bound_of(idx);
-                let hi = Histogram::lower_bound_of(idx + 1);
-                if idx < Histogram::NR_BUCKETS - 1 {
-                    assert!(lo <= v && v < hi, "v={v} idx={idx} lo={lo} hi={hi}");
-                } else {
-                    assert!(lo <= v, "v={v} idx={idx} lo={lo}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn window_max_is_inclusive_at_power_of_two_values() {
         // Regression: a window whose largest sample is one below a
         // power-of-two boundary (e.g. 31) used to report the *exclusive*

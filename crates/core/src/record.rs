@@ -12,12 +12,13 @@
 //! The log format is a hand-rolled length-free fixed-layout little-endian
 //! binary codec (one tag byte + fixed fields per record).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -953,13 +954,6 @@ impl std::ops::Deref for ParsedLog {
     }
 }
 
-impl ParsedLog {
-    /// Unwraps into the record vector, discarding the truncation flag.
-    pub fn into_records(self) -> Vec<Rec> {
-        self.records
-    }
-}
-
 /// How far into a log [`parse_log`] will hunt for a decodable head. A
 /// partial head record is at most one record long (tens of bytes); the
 /// bound keeps the quadratic resync scan from running away on a file
@@ -1070,41 +1064,39 @@ const HOOK_RECORD: u8 = 1;
 /// Hook-word bit: a replay sequencer is armed (excludes [`HOOK_RECORD`]).
 pub(crate) const HOOK_REPLAY: u8 = 2;
 /// Hook-word bit: the flight ring is armed ([`crate::flight::arm`]).
-pub(crate) const HOOK_FLIGHT: u8 = 4;
+const HOOK_FLIGHT: u8 = 4;
 
 /// The one word every hook reads: which of record, replay and flight are
 /// armed. Zero means none is, and a shim lock then calls nothing here.
 static HOOKS: AtomicU8 = AtomicU8::new(0);
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The hook word, loaded once. Acquire pairs with the Release updates:
-/// the `enable_*` functions set a bit after writing [`GLOBAL`], and
-/// [`disable`] clears it before resetting `GLOBAL`.
+/// The hook word, loaded once. Acquire pairs with the Release update in
+/// [`rearm`], which sets the bits after it installs the sinks and moves
+/// [`SINKS_GEN`].
 #[inline]
 pub(crate) fn hooks() -> u8 {
     HOOKS.load(Ordering::Acquire)
 }
 
-/// Sets the record/replay bits to `mode`, keeping the flight bit.
-fn set_mode(mode: u8) {
-    let _ = HOOKS.fetch_update(Ordering::Release, Ordering::Relaxed, |h| {
-        Some((h & HOOK_FLIGHT) | mode)
-    });
+/// What the [`emit`] funnel writes into, as armed at generation `gen`:
+/// the record/replay mode (`None` = off) and the flight ring.
+#[derive(Clone)]
+struct Sinks {
+    gen: u64,
+    mode: Option<Arc<GlobalMode>>,
+    flight: Option<Arc<crate::flight::FlightState>>,
 }
 
-/// Sets or clears the flight bit ([`crate::flight::arm`] / `disarm`).
-pub(crate) fn set_flight_hook(armed: bool) {
-    if armed {
-        HOOKS.fetch_or(HOOK_FLIGHT, Ordering::Release);
-    } else {
-        HOOKS.fetch_and(!HOOK_FLIGHT, Ordering::Release);
-    }
-}
+const UNARMED: Sinks = Sinks { gen: 0, mode: None, flight: None };
 
-static GLOBAL: std::sync::RwLock<GlobalMode> = std::sync::RwLock::new(GlobalMode::Off);
+/// The armed sinks. Only [`rearm`] writes them and only [`with_sinks`]
+/// reads them, when this thread's snapshot is a generation behind.
+static GLOBAL: RwLock<Sinks> = RwLock::new(UNARMED);
+/// `GLOBAL.gen`, loaded once per funnel call to validate the snapshot.
+static SINKS_GEN: AtomicU64 = AtomicU64::new(0);
 
 enum GlobalMode {
-    Off,
     Record(Recorder),
     /// Sharded capture for cluster runs: one recorder (and one lock-id
     /// counter) per *stream* — a machine in the fleet. Worker threads
@@ -1124,6 +1116,54 @@ thread_local! {
     static TID: AtomicU32 = const { AtomicU32::new(0) };
     /// The record stream this thread is bound to, plus one (0 = unbound).
     static STREAM: AtomicU32 = const { AtomicU32::new(0) };
+    /// This thread's copy of [`GLOBAL`]. Starts at generation 0 with
+    /// nothing armed, which is exactly the never-armed `GLOBAL`.
+    static SINKS: RefCell<Sinks> = const { RefCell::new(UNARMED) };
+}
+
+/// Changes what is armed: `update` edits the sinks, the generation moves
+/// so every thread's snapshot refreshes, and the hook-word bits under
+/// `mask` become `bits` — all under the write lock, so an emitter that
+/// sees the new bits also sees the new generation.
+fn rearm(mask: u8, bits: u8, update: impl FnOnce(&mut Sinks)) {
+    let mut g = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
+    update(&mut g);
+    g.gen += 1;
+    SINKS_GEN.store(g.gen, Ordering::Release);
+    let _ = HOOKS.fetch_update(Ordering::Release, Ordering::Relaxed, |h| Some((h & !mask) | bits));
+}
+
+/// Installs `mode` (`None` = off) and sets the record/replay bits to `bits`.
+fn set_mode(bits: u8, mode: Option<GlobalMode>) {
+    rearm(HOOK_RECORD | HOOK_REPLAY, bits, |s| s.mode = mode.map(Arc::new));
+}
+
+/// Installs or removes the flight ring ([`crate::flight::arm`] / `disarm`).
+pub(crate) fn set_flight(st: Option<Arc<crate::flight::FlightState>>) {
+    rearm(HOOK_FLIGHT, if st.is_some() { HOOK_FLIGHT } else { 0 }, |s| s.flight = st);
+}
+
+/// The armed flight ring, if any.
+pub(crate) fn flight() -> Option<Arc<crate::flight::FlightState>> {
+    with_sinks(|s| s.flight.clone())
+}
+
+/// Runs `f` on this thread's snapshot of the armed sinks, re-cloning it
+/// from [`GLOBAL`] first when the generation moved. `f` runs under a
+/// shared borrow of the snapshot, so it must not call back into this
+/// module; a caller that runs foreign code (a sequencer's `wait_turn`
+/// blocks) clones what it needs out first.
+#[inline]
+fn with_sinks<R>(f: impl FnOnce(&Sinks) -> R) -> R {
+    let gen = SINKS_GEN.load(Ordering::Acquire);
+    SINKS.with(|cell| {
+        if cell.borrow().gen != gen {
+            let fresh = GLOBAL.read().unwrap_or_else(PoisonError::into_inner).clone();
+            // The old snapshot drops once the borrow has ended.
+            drop(cell.replace(fresh));
+        }
+        f(&cell.borrow())
+    })
 }
 
 /// Sets the current thread's kernel-thread id used for tagging records
@@ -1140,8 +1180,7 @@ pub fn current_tid() -> u32 {
 /// Switches the process into record mode; all shim locks and framework
 /// dispatch calls start emitting records.
 pub fn enable_record(recorder: Recorder) {
-    *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Record(recorder);
-    set_mode(HOOK_RECORD);
+    set_mode(HOOK_RECORD, Some(GlobalMode::Record(recorder)));
 }
 
 /// Switches the process into **sharded** record mode: one recorder per
@@ -1154,12 +1193,7 @@ pub fn enable_record(recorder: Recorder) {
 /// their bytes after [`disable`].
 pub fn enable_record_sharded(recorders: Vec<Recorder>) {
     let lock_ids = (0..recorders.len()).map(|_| AtomicU64::new(1)).collect();
-    *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) =
-        GlobalMode::RecordSharded {
-            recorders,
-            lock_ids,
-        };
-    set_mode(HOOK_RECORD);
+    set_mode(HOOK_RECORD, Some(GlobalMode::RecordSharded { recorders, lock_ids }));
 }
 
 /// Binds the current thread to record stream `idx`: until cleared, every
@@ -1200,22 +1234,25 @@ pub fn mark_epoch(stream: u32, epoch: u64, at: u64) {
 
 /// Switches the process into replay mode with the given lock sequencer.
 pub fn enable_replay(seq: Arc<dyn LockSequencer>) {
-    *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Replay(seq);
-    set_mode(HOOK_REPLAY);
+    set_mode(HOOK_REPLAY, Some(GlobalMode::Replay(seq)));
 }
 
 /// Turns record/replay off (the default).
 pub fn disable() {
-    set_mode(0);
-    *GLOBAL.write().unwrap_or_else(std::sync::PoisonError::into_inner) = GlobalMode::Off;
+    set_mode(0, None);
 }
 
-/// True when records are being captured — by the file recorder, the
-/// flight ring, or both. Replay always reports false: a replayed run
-/// must never re-emit the stream it is consuming.
-pub fn recording() -> bool {
-    let h = hooks();
+/// True when hook word `h` captures records — by the file recorder, the
+/// flight ring, or both. Replay never does: a replayed run must never
+/// re-emit the stream it is consuming.
+#[inline]
+fn captures(h: u8) -> bool {
     h & HOOK_RECORD != 0 || h & (HOOK_REPLAY | HOOK_FLIGHT) == HOOK_FLIGHT
+}
+
+/// True when records are being captured (see [`emit`]).
+pub fn recording() -> bool {
+    captures(hooks())
 }
 
 /// Emits a record to every armed capture sink (cheap no-op otherwise).
@@ -1223,26 +1260,29 @@ pub fn recording() -> bool {
 /// The flight ring mirrors the stream whenever it is armed and the
 /// process is not replaying, independent of full recording — this single
 /// funnel is what makes the black box see lock traffic, dispatch calls,
-/// hints, and decisions without any per-site changes.
+/// hints, and decisions without any per-site changes. It loads the hook
+/// word and returns when nothing captures; otherwise it loads the sinks'
+/// generation and writes through this thread's snapshot of them, taking
+/// no lock but the recorder's producer lock.
 pub fn emit(rec: Rec) {
     let h = hooks();
-    if h & (HOOK_REPLAY | HOOK_FLIGHT) == HOOK_FLIGHT {
-        crate::flight::mirror(rec);
-    }
-    if h & HOOK_RECORD == 0 {
+    if !captures(h) {
         return;
     }
-    match &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {
-        GlobalMode::Record(r) => r.emit(rec),
-        GlobalMode::RecordSharded { recorders, .. } => {
-            if let Some(idx) = current_record_stream() {
-                if let Some(r) = recorders.get(idx as usize) {
+    with_sinks(|s| {
+        if let (HOOK_FLIGHT, Some(st)) = (h & (HOOK_REPLAY | HOOK_FLIGHT), &s.flight) {
+            st.ring.push(rec);
+        }
+        match s.mode.as_deref() {
+            Some(GlobalMode::Record(r)) => r.emit(rec),
+            Some(GlobalMode::RecordSharded { recorders, .. }) => {
+                if let Some(r) = current_record_stream().and_then(|i| recorders.get(i as usize)) {
                     r.emit(rec);
                 }
             }
+            _ => {}
         }
-        _ => {}
-    }
+    });
 }
 
 /// Dropped-record count of the active file recorder, if one is armed.
@@ -1252,13 +1292,13 @@ pub fn recorder_dropped() -> Option<u64> {
     if hooks() & HOOK_RECORD == 0 {
         return None;
     }
-    match &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {
+    with_sinks(|s| match s.mode.as_deref()? {
         GlobalMode::Record(r) => Some(r.dropped()),
         GlobalMode::RecordSharded { recorders, .. } => {
             Some(recorders.iter().map(Recorder::dropped).sum())
         }
-        _ => None,
-    }
+        GlobalMode::Replay(_) => None,
+    })
 }
 
 /// Allocates a fresh shim-lock id (creation order is the replay identity).
@@ -1268,18 +1308,16 @@ pub fn recorder_dropped() -> Option<u64> {
 /// numbers its locks exactly as a solo run would and replays with a
 /// plain [`reset_lock_ids`].
 pub fn next_lock_id() -> u64 {
-    if hooks() & HOOK_RECORD != 0 {
-        if let Some(idx) = current_record_stream() {
-            if let GlobalMode::RecordSharded { lock_ids, .. } =
-                &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                if let Some(ctr) = lock_ids.get(idx as usize) {
-                    return ctr.fetch_add(1, Ordering::Relaxed);
-                }
+    let sharded = match current_record_stream() {
+        Some(idx) if hooks() & HOOK_RECORD != 0 => with_sinks(|s| match s.mode.as_deref() {
+            Some(GlobalMode::RecordSharded { lock_ids, .. }) => {
+                lock_ids.get(idx as usize).map(|c| c.fetch_add(1, Ordering::Relaxed))
             }
-        }
-    }
-    NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed)
+            _ => None,
+        }),
+        _ => None,
+    };
+    sharded.unwrap_or_else(|| NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Resets lock-id allocation. Call before constructing the scheduler in
@@ -1299,19 +1337,32 @@ pub fn seed_lock_ids(next: u64) {
     NEXT_LOCK_ID.store(next.max(1), Ordering::Relaxed);
 }
 
-/// Invokes `f` with the active sequencer if replaying.
+/// Invokes `f` with the active sequencer if replaying. The sequencer
+/// comes from this thread's snapshot of the armed sinks, like [`emit`]'s
+/// recorder; `f` may block (`wait_turn` waits for the thread's turn), so
+/// it runs on a clone of the sequencer, with the snapshot not borrowed.
 pub fn with_sequencer(f: impl FnOnce(&dyn LockSequencer)) {
     if hooks() & HOOK_REPLAY == 0 {
         return;
     }
-    if let GlobalMode::Replay(s) = &*GLOBAL.read().unwrap_or_else(std::sync::PoisonError::into_inner) {
-        f(&**s);
+    if let Some(seq) = with_sinks(|s| match s.mode.as_deref() {
+        Some(GlobalMode::Replay(seq)) => Some(Arc::clone(seq)),
+        _ => None,
+    }) {
+        f(&*seq);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the unit tests that arm the process-global sinks, so one
+    /// test's `disable` cannot cut another's capture short.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        lock(&SERIAL)
+    }
 
     fn roundtrip(rec: Rec) {
         let mut buf = Vec::new();
@@ -1977,6 +2028,7 @@ mod tests {
     fn sharded_mode_routes_by_stream_and_numbers_locks_per_stream() {
         // Mutates process-global record state; self-contained, restores
         // Off at the end (same discipline as the sync.rs record tests).
+        let _serial = serial();
         let recs: Vec<Recorder> = (0..2).map(|_| Recorder::new(2)).collect();
         enable_record_sharded(recs.clone());
         // Unbound threads drop records instead of polluting a stream.
@@ -2018,6 +2070,109 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// The records `r` holds from `tid`, in order.
+    fn records_of(r: &Recorder, tid: u32) -> Vec<Rec> {
+        let parsed = parse_log(&r.take_bytes()[..]).unwrap();
+        let from_tid = |rec: &Rec| matches!(rec, Rec::LockRelease { tid: t, .. } if *t == tid);
+        parsed.records.into_iter().filter(from_tid).collect()
+    }
+
+    /// A thread's snapshot still holds recorder A when another thread
+    /// disables and re-arms with B; the generation moved, so its next
+    /// record goes to B and A gains nothing.
+    #[test]
+    fn rearm_on_another_thread_reroutes_the_next_record() {
+        let _serial = serial();
+        let (a, b) = (Recorder::new(64), Recorder::new(64));
+        enable_record(a.clone());
+        let (emitted, emitted_rx) = std::sync::mpsc::channel();
+        let (rearmed, rearmed_rx) = std::sync::mpsc::channel();
+        let emitter = std::thread::spawn(move || {
+            emit(Rec::LockRelease { tid: 0xA1, lock: 1 });
+            emitted.send(()).unwrap();
+            rearmed_rx.recv().unwrap();
+            emit(Rec::LockRelease { tid: 0xA1, lock: 2 });
+        });
+        emitted_rx.recv().unwrap();
+        disable();
+        enable_record(b.clone());
+        rearmed.send(()).unwrap();
+        emitter.join().unwrap();
+        disable();
+        assert_eq!(records_of(&a, 0xA1), [Rec::LockRelease { tid: 0xA1, lock: 1 }]);
+        assert_eq!(records_of(&b, 0xA1), [Rec::LockRelease { tid: 0xA1, lock: 2 }]);
+    }
+
+    /// Rebinding a thread's stream mid-capture moves no generation, yet
+    /// its very next record goes to the new stream.
+    #[test]
+    fn stream_switch_mid_capture_routes_the_very_next_record() {
+        let _serial = serial();
+        let recs: Vec<Recorder> = (0..2).map(|_| Recorder::new(64)).collect();
+        enable_record_sharded(recs.clone());
+        for (stream, lock) in [(0, 1), (1, 2), (0, 3)] {
+            set_record_stream(stream);
+            emit(Rec::LockRelease { tid: 0xB1, lock });
+        }
+        clear_record_stream();
+        disable();
+        let release = |lock| Rec::LockRelease { tid: 0xB1, lock };
+        assert_eq!(records_of(&recs[0], 0xB1), [release(1), release(3)]);
+        assert_eq!(records_of(&recs[1], 0xB1), [release(2)]);
+    }
+
+    /// With flight and record both armed, one emitted record lands in the
+    /// file recorder and in the flight ring.
+    #[test]
+    fn one_record_reaches_flight_and_record() {
+        let _serial = serial();
+        let dir = scratch_dir("both");
+        let spec = crate::flight::FlightSpec {
+            dir: dir.clone(),
+            ..crate::flight::FlightSpec::default()
+        };
+        crate::flight::arm(spec, String::new(), None);
+        let rec = Recorder::new(64);
+        enable_record(rec.clone());
+        emit(Rec::LockRelease { tid: 0xC1, lock: 42 });
+        disable();
+        let dump = crate::flight::dump("both", enoki_sim::Ns(0), &[]).unwrap();
+        crate::flight::disarm();
+        let want = [Rec::LockRelease { tid: 0xC1, lock: 42 }];
+        assert_eq!(records_of(&rec, 0xC1), want);
+        let ring = parse_log(File::open(&dump).unwrap()).unwrap();
+        let ring: Vec<Rec> = ring.records.into_iter().filter(|r| *r == want[0]).collect();
+        assert_eq!(ring, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sequencer that re-arms from inside `wait_turn` and then calls
+    /// back into the funnel: each nested call refreshes this thread's
+    /// snapshot while the outer `with_sequencer` is still running.
+    struct Rearming(Recorder);
+
+    impl LockSequencer for Rearming {
+        fn wait_turn(&self, lock: u64, tid: u32) {
+            enable_record(self.0.clone());
+            emit(Rec::LockRelease { tid: 0xD1, lock });
+            assert_eq!(recorder_dropped(), Some(0));
+            enable_replay(Arc::new(Rearming(self.0.clone())));
+            with_sequencer(|s| s.released(lock, tid));
+        }
+
+        fn released(&self, _lock: u64, _tid: u32) {}
+    }
+
+    #[test]
+    fn nested_refresh_under_a_blocked_sequencer_does_not_panic() {
+        let _serial = serial();
+        let rec = Recorder::new(64);
+        enable_replay(Arc::new(Rearming(rec.clone())));
+        with_sequencer(|s| s.wait_turn(5, 0));
+        disable();
+        assert_eq!(records_of(&rec, 0xD1), [Rec::LockRelease { tid: 0xD1, lock: 5 }]);
     }
 
     #[test]

@@ -302,6 +302,7 @@ mod tests {
     fn record_mode_logs_lock_ops() {
         // This test mutates process-global record state; keep it
         // self-contained and restore Off at the end.
+        let _serial = record::tests::serial();
         let dir = std::env::temp_dir().join(format!("enoki-sync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("locks.bin");
@@ -335,6 +336,7 @@ mod rwlock_record_tests {
 
     #[test]
     fn rwlock_modes_are_distinguished_in_the_log() {
+        let _serial = record::tests::serial();
         let dir = std::env::temp_dir().join(format!("enoki-rw-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rw.bin");

@@ -3,8 +3,11 @@
 # JSON string escaper, the record/replay/flight hook word and the latency
 # histogram bucket layout each live in exactly one place (enoki_sim::fnv,
 # SpanGraph::build, enoki_core::json, enoki_core::record::HOOKS,
-# enoki_sim::stats::Histogram). Fails when a copy grows back, including the
-# separate mode and flight flags the hook word replaced, and when a crate's
+# enoki_sim::stats::Histogram), and the armed record/replay/flight sinks
+# are cached in one thread-local snapshot (enoki_core::record::SINKS).
+# Fails when a copy grows back, including the separate mode and flight
+# flags the hook word replaced, a second read of record's GLOBAL or
+# flight's old STATE_GEN / CACHED_STATE cache, and when a crate's
 # non-test lines (tools/loc.sh) exceed its line in tools/loc.budget.
 # Run from the repo root: `just one-of-each` (also a CI step).
 set -u
@@ -19,6 +22,20 @@ fi
 
 if grep -rn --include='*.rs' 'static MODE_TAG\|static ARMED' crates tests examples; then
     echo "one-of-each: a second record/flight mode flag is back; use the hook word in enoki_core::record"
+    fail=1
+fi
+
+# One snapshot of the armed sinks: record.rs reads GLOBAL in one place
+# (the thread-local snapshot's refresh), and flight keeps no cache of its own.
+reads=$(grep -n 'GLOBAL\.read(' crates/core/src/record.rs)
+if [ "$(printf '%s\n' "$reads" | grep -c .)" -gt 1 ]; then
+    echo "one-of-each: GLOBAL must be read in one place in crates/core/src/record.rs (the snapshot refresh in with_sinks):"
+    printf '%s\n' "$reads"
+    fail=1
+fi
+
+if grep -rn --include='*.rs' 'STATE_GEN\|CACHED_STATE' crates; then
+    echo "one-of-each: a second armed-state cache is back; read the sinks through record's thread-local snapshot"
     fail=1
 fi
 
